@@ -17,6 +17,7 @@ from .analytic import (
     rate_closed_form,
     rate_low_snr,
     rate_quadrature,
+    rate_scan,
     sinr_cdf,
 )
 from .config import (
@@ -96,6 +97,7 @@ __all__ = [
     "rate_closed_form",
     "rate_low_snr",
     "rate_quadrature",
+    "rate_scan",
     "rmt_lemma_check",
     "sample_sinr",
     "sample_sinr_model",

@@ -8,24 +8,38 @@ ceiling induced by the transmit distortion.
 
 Numerical strategy
 ------------------
-The CDF series and the closed-form rate series involve coefficients and
-special-function values spanning hundreds of orders of magnitude, so all
-assembly happens on (sign, log-magnitude) pairs:
+The closed-form rate series involves coefficients and special-function
+values spanning hundreds of orders of magnitude, so its assembly happens on
+(sign, log-magnitude) pairs.  The series alternates in sign; terms are
+accumulated scaled by the peak magnitude, and the cancellation ratio
+``sum|t| / |sum t|`` is monitored.  If it exceeds ``_CANCEL_LIMIT`` (a
+1e6-ulp error budget), the closed form silently loses more than ~1e-10 of
+relative accuracy, so the routine logs the operand magnitudes and falls back
+to the quadrature form, which is mathematically identical; it does the same
+when a special function of the series fails to converge.
 
-* survival functions are evaluated as ``exp(logsumexp(...))`` — every series
-  term is positive, so this path has no cancellation at all;
-* the rate series alternate in sign; terms are accumulated scaled by the
-  peak magnitude, and the cancellation ratio ``sum|t| / |sum t|`` is
-  monitored.  If it exceeds ``_CANCEL_LIMIT`` (a 1e6-ulp error budget), the
-  closed form silently loses more than ~1e-10 of relative accuracy, so the
-  routine logs the operand magnitudes and falls back to the quadrature form,
-  which is mathematically identical.
+The survival functions (the CDFs and the quadrature integrand) are worked in
+the substituted variable ``u = c0*gamma/(1 - delta^2*gamma)``, which maps the
+SINR wall to infinity and turns both CDF arguments into polynomials in ``u``:
+the integrand is smooth exponential-times-rational on ``[0, inf)`` for every
+``delta >= 0``, including ``delta = 0`` where no wall exists.  With the
+regularized upper incomplete gamma ``Q(a, u) = e^{-u} sum_{k<a} u^k/k!``
+(DLMF 8.4.10), the inner series of the MRC survival sums in closed form,
+``sum_{k>=p} u^k/(k-p)! = u^p e^u Q(nr-p, u)`` (and likewise for MMSE), so
 
-The quadrature form integrates the survival function over the substituted
-variable ``u = c0*gamma/(1 - delta^2*gamma)``, which maps the SINR wall to
-infinity and turns both CDF arguments into polynomials in ``u`` — the
-integrand becomes smooth exponential-times-rational on ``[0, inf)`` for
-every ``delta >= 0``, including ``delta = 0`` where no wall exists.
+    S_MRC(u) = v^{-(nt-1)} sum_p C(nt+p-2, p) (r u / v)^p Q(nr-p, u),
+
+with ``r = (1+delta^2)/c0`` and ``v = 1 + r u``.  Every survival is thereby a
+mixture of ``Q(nr-j, u)`` with probability weights (see :func:`_survival_u`):
+O(nr) positive terms per node, no cancellation, and no ``nr x nr`` table.
+
+One quadrature engine serves every rate.  It integrates the survival over
+``u`` for a whole vector of c0 values at once (one per training length in a
+``tp`` scan, a single one for a point rate) with one adaptive-quadrature call
+per chunk.  Chunks are sized so that c0 values x mixture terms x seed nodes
+stays within ``_WORKING_SET``, which bounds the integrand's memory whatever
+the scan length, and each chunk takes its knots from its smallest c0, whose
+small-u structure is the finest.
 """
 
 from __future__ import annotations
@@ -36,12 +50,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln, xlogy
 
-from .config import Receiver, SystemConfig, derive_params
-from .quadrature import integrate
+from .config import AccuracyError, Receiver, SystemConfig, derive_params
+from .quadrature import _X_HI, integrate_family
+from .quadrature import integrate  # noqa: F401  (unused; wrapped by perfbench/spans.py)
 from .special import (
     CoefficientTable,
+    _lchoose,
     build_coefficients,
     exp_integral_en_scaled,
     log_tricomi_u_family,
@@ -53,6 +69,7 @@ __all__ = [
     "outage",
     "rate_closed_form",
     "rate_quadrature",
+    "rate_scan",
     "rate_low_snr",
     "rate_ceiling",
 ]
@@ -62,6 +79,10 @@ logger = logging.getLogger(__name__)
 # Cancellation budget for the alternating closed-form rate series, expressed
 # as the admissible ratio sum|terms| / |sum terms| (~1e6 ulps of headroom).
 _CANCEL_LIMIT = 1.0e6
+
+# Bound on the batched rate integrand's working set, in c0 values x mixture
+# terms x seed quadrature nodes (one float64 array of this size is 2 MiB).
+_WORKING_SET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -101,39 +122,72 @@ def _require_receiver_ok(receiver: Receiver, nt: int, nr: int) -> None:
         )
 
 
-def _log_survival_u(
-    receiver: Receiver, nt: int, nr: int, c0: float, delta: float, u: np.ndarray
-) -> np.ndarray:
-    """log(1 - F) as a function of the substituted variable ``u >= 0``.
+def _poisson_tail(a_max: int, u: np.ndarray) -> np.ndarray:
+    """Rows ``Q(1, u) .. Q(a_max, u)`` of the regularized upper incomplete
+    gamma at integer order, shape ``(a_max, len(u))``.
 
-    In u-space the CDF arguments are ``u`` itself and
-    ``v = 1 + (1+delta^2) u / c0``; every series term is positive, so the
-    sum is a clean logsumexp.
+    ``Q(a, u) = e^{-u} sum_{k<a} u^k / k!`` (DLMF 8.4.10) is accumulated from
+    Poisson pmfs: positive terms only, so every row keeps full relative
+    accuracy, deep in the tail too.
     """
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore"):
-        log_u = np.log(u)
-    log_v = np.log1p((1.0 + delta * delta) * u / c0)
+    k = np.arange(a_max)[:, None]
+    return np.cumsum(np.exp(xlogy(k, u) - u - gammaln(k + 1)), axis=0)
 
-    if receiver is Receiver.ZF:
-        k = np.arange(nr - nt + 1)[:, None]
-        with np.errstate(invalid="ignore"):  # k=0 row makes 0 * (-inf)
-            terms = k * log_u[None, :] - gammaln(k + 1)
-        terms[0] = 0.0  # k = 0: u^0/0! = 1 even at u = 0
-        return -u + logsumexp(terms, axis=0)
 
-    tab = _table(nt, nr, c0, delta)
-    k = np.arange(nr)[:, None]
-    with np.errstate(invalid="ignore"):  # k=0 row makes 0 * (-inf)
-        k_pow = np.where(k == 0, 0.0, k * log_u[None, :])  # (k, u)
+@lru_cache(maxsize=128)
+def _mixture_log_binomials(receiver: Receiver, nt: int, nr: int) -> np.ndarray:
+    """``log C`` of each MMSE or MRC survival mixture term (:func:`_survival_u`)."""
     if receiver is Receiver.MMSE:
-        terms = tab.log_beta[:, None] + k_pow
-        return -u - (nt - 1) * log_v + logsumexp(terms, axis=0)
+        log_c = _lchoose(nt - 1, np.arange(min(nt, nr)))
+    elif receiver is Receiver.MRC:
+        j = np.arange(nr)
+        log_c = _lchoose(nt + j - 2, j)
+    else:
+        raise ValueError(f"unknown receiver: {receiver!r}")
+    log_c.setflags(write=False)  # shared by every caller through the cache
+    return log_c
+
+
+def _survival_u(
+    receiver: Receiver, nt: int, nr: int, delta: float, c0: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """Survival ``1 - F`` of the per-stream SINR in u-space, batched over c0.
+
+    ``c0`` has shape ``(m,)`` and the nodes ``u >= 0`` shape ``(n,)``; the
+    result has shape ``(m, n)``.  With ``w = (1+delta^2) u / c0``,
+    ``v = 1 + w`` and ``x = w / v``, every survival is a mixture of
+    ``Q(nr - j, u)`` (:func:`_poisson_tail`) with probability weights:
+
+    * ZF: ``Q(nr - nt + 1, u)``, independent of c0;
+    * MMSE: ``sum_{j<min(nt,nr)} C(nt-1, j) x^j (1-x)^(nt-1-j) Q(nr-j, u)``;
+    * MRC: ``sum_{j<nr} C(nt+j-2, j) x^j (1-x)^(nt-1) Q(nr-j, u)``.
+
+    The weights are evaluated in log space as
+    ``log C + j log z - (nt-1) log v`` with ``z = w`` (MMSE) or ``z = x``
+    (MRC), so no intermediate overflows, and every term is positive.
+    """
+    c0 = np.asarray(c0, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if receiver is Receiver.ZF:
+        tail = _poisson_tail(nr - nt + 1, u)[-1]
+        return np.broadcast_to(tail, (c0.size, u.size))
+    log_c = _mixture_log_binomials(receiver, nt, nr)
+    tail = _poisson_tail(nr, u)[::-1][: log_c.size]  # row j holds Q(nr - j, u)
+    ratio = (1.0 + delta * delta) / c0
+    log_v = ratio[:, None] * u[None, :]  # (m, n)
+    np.log1p(log_v, out=log_v)
+    with np.errstate(divide="ignore"):  # u = 0 gives z = 0
+        log_z = np.log(ratio)[:, None] + np.log(u)[None, :]
     if receiver is Receiver.MRC:
-        p = np.arange(nr)[:, None, None]  # (p, k, u)
-        inner = tab.log_alpha[:, :, None] + k_pow[None, :, :] - p * log_v[None, None, :]
-        return -u - (nt - 1) * log_v + logsumexp(inner, axis=(0, 1))
-    raise ValueError(f"unknown receiver: {receiver!r}")
+        log_z -= log_v
+    j = np.arange(log_c.size)[:, None]
+    with np.errstate(invalid="ignore"):  # j = 0 against u = 0 makes 0 * (-inf)
+        log_weights = j * log_z[:, None, :]  # (m, j, n)
+    log_weights[:, 0] = 0.0
+    log_weights += log_c[:, None]
+    log_v *= nt - 1
+    log_weights -= log_v[:, None, :]
+    return np.einsum("mjn,jn->mn", np.exp(log_weights, out=log_weights), tail)
 
 
 def sinr_cdf(receiver: Receiver, cfg: SystemConfig, gamma: float) -> float:
@@ -151,10 +205,10 @@ def sinr_cdf(receiver: Receiver, cfg: SystemConfig, gamma: float) -> float:
         return 1.0
     if gamma == 0.0:
         return 0.0
-    dp = derive_params(cfg)
-    u = np.array([dp.c0 * gamma / (1.0 - d2 * gamma)])
-    log_s = _log_survival_u(receiver, cfg.nt, cfg.nr, dp.c0, cfg.delta, u)[0]
-    return float(min(1.0, max(0.0, -math.expm1(min(log_s, 0.0)))))
+    c0 = derive_params(cfg).c0
+    u = np.array([c0 * gamma / (1.0 - d2 * gamma)])
+    s = _survival_u(receiver, cfg.nt, cfg.nr, cfg.delta, np.array([c0]), u)[0, 0]
+    return float(min(1.0, max(0.0, 1.0 - s)))
 
 
 def outage(receiver: Receiver, cfg: SystemConfig, threshold: float) -> float:
@@ -182,20 +236,39 @@ def _u_knots(k_max: int, c0: float, delta: float) -> tuple[float, np.ndarray]:
 
 
 def _rate_quadrature_c0(
-    receiver: Receiver, nt: int, nr: int, delta: float, c0: float, prefactor: float
-) -> float:
-    """Rate by adaptive quadrature of the survival function in u-space."""
+    receiver: Receiver, nt: int, nr: int, delta: float, c0: np.ndarray
+) -> np.ndarray:
+    """u-space rate integrals ``int_0^inf S(u) dgamma/du / (1 + gamma) du``
+    for a vector of c0 values (the rate without its prefactor).
+
+    The c0 values are integrated together in chunks whose working set
+    (c0 values x mixture terms x seed nodes) stays within ``_WORKING_SET``
+    (a chunk holds at least one c0); a chunk takes its knots from its
+    smallest c0, whose small-u structure is the finest.
+    """
+    c0 = np.atleast_1d(np.asarray(c0, dtype=float))
     k_max = nr - nt if receiver is Receiver.ZF else nr - 1
-    u_max, knots = _u_knots(k_max, c0, delta)
     d2 = delta * delta
+    terms = 1 if receiver is Receiver.ZF else _mixture_log_binomials(receiver, nt, nr).size
+    seed_nodes = _u_knots(k_max, float(c0.min()), delta)[1].size * _X_HI.size
+    chunk = max(1, _WORKING_SET // (terms * seed_nodes))
+    out = []
+    for c in np.array_split(c0, -(-c0.size // chunk)):
+        u_max, knots = _u_knots(k_max, float(c.min()), delta)
+        col = c[:, None]
 
-    def f(u: np.ndarray) -> np.ndarray:
-        log_s = _log_survival_u(receiver, nt, nr, c0, delta, u)
-        jac = c0 / ((c0 + d2 * u) * (c0 + (1.0 + d2) * u))
-        return (np.exp(np.minimum(log_s, 0.0)) * jac)[None, :]
+        def f(u: np.ndarray) -> np.ndarray:
+            # S(u) * dgamma/du / (1 + gamma), built in place to bound memory
+            vals = col + d2 * u
+            vals *= col + (1.0 + d2) * u
+            np.divide(col, vals, out=vals)
+            vals *= _survival_u(receiver, nt, nr, delta, c, u)
+            return vals
 
-    val = integrate(f, 0.0, u_max, points=knots, rel_tol=1e-10, abs_tol=1e-300)
-    return prefactor * val
+        out.append(
+            integrate_family(f, 0.0, u_max, points=knots, rel_tol=1e-10, abs_tol=1e-300)
+        )
+    return np.concatenate(out)
 
 
 def rate_quadrature(receiver: Receiver, cfg: SystemConfig) -> float:
@@ -209,9 +282,22 @@ def rate_quadrature(receiver: Receiver, cfg: SystemConfig) -> float:
     """
     _require_receiver_ok(receiver, cfg.nt, cfg.nr)
     dp = derive_params(cfg)
-    return _rate_quadrature_c0(
-        receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0, _rate_prefactor(cfg)
-    )
+    val = _rate_quadrature_c0(receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0)
+    return _rate_prefactor(cfg) * float(val[0])
+
+
+def rate_scan(receiver: Receiver, cfg: SystemConfig) -> np.ndarray:
+    """Ergodic rate at every feasible training length ``tp = nt .. t-1``
+    (``cfg.tp`` is ignored), by the quadrature engine batched over c0.
+
+    Entry ``i`` equals ``rate_quadrature(receiver, cfg.with_tp(nt + i))`` to
+    the quadrature tolerance.
+    """
+    _require_receiver_ok(receiver, cfg.nt, cfg.nr)
+    cfgs = [cfg.with_tp(tp) for tp in range(cfg.nt, cfg.t)]
+    c0 = np.array([derive_params(c).c0 for c in cfgs])
+    prefactor = np.array([_rate_prefactor(c) for c in cfgs])
+    return prefactor * _rate_quadrature_c0(receiver, cfg.nt, cfg.nr, cfg.delta, c0)
 
 
 def _closed_form_terms(
@@ -306,17 +392,23 @@ def _rate_closed_c0(
     receiver: Receiver, nt: int, nr: int, delta: float, c0: float, prefactor: float
 ) -> float:
     """Closed-form rate with explicit c0; falls back to quadrature when the
-    alternating series cancels past the error budget."""
-    if delta == 0.0:
+    alternating series cancels past the error budget or one of its special
+    functions fails to converge (as at c0/delta^2 near the double range)."""
+    if delta * delta == 0.0:
         # The special-function forms contain c0/delta^2 arguments; the
-        # ideal-hardware rate is served by the (identical) quadrature form.
-        return _rate_quadrature_c0(receiver, nt, nr, delta, c0, prefactor)
-    signs, logs = _closed_form_terms(receiver, nt, nr, delta, c0)
-    value, cancel = _assemble(signs, logs)
+        # ideal-hardware rate (delta^2 = 0 in doubles) is served by the
+        # (identical) quadrature form.
+        return prefactor * float(_rate_quadrature_c0(receiver, nt, nr, delta, c0)[0])
+    try:
+        signs, logs = _closed_form_terms(receiver, nt, nr, delta, c0)
+        value, cancel = _assemble(signs, logs)
+    except AccuracyError:
+        logs, value, cancel = np.empty(0), math.nan, math.inf
     if not math.isfinite(value) or cancel > _CANCEL_LIMIT:
         logger.warning(
             "closed-form rate series for %s (nt=%d nr=%d delta=%g c0=%g) cancelled "
-            "beyond budget (ratio %.3g, peak log-magnitude %.3g); using quadrature",
+            "beyond budget or did not converge (ratio %.3g, peak log-magnitude "
+            "%.3g); using quadrature",
             receiver,
             nt,
             nr,
@@ -325,7 +417,7 @@ def _rate_closed_c0(
             cancel,
             float(np.max(logs[np.isfinite(logs)], initial=-math.inf)),
         )
-        return _rate_quadrature_c0(receiver, nt, nr, delta, c0, prefactor)
+        return prefactor * float(_rate_quadrature_c0(receiver, nt, nr, delta, c0)[0])
     return prefactor * value
 
 
@@ -367,8 +459,8 @@ def rate_ceiling(receiver: Receiver, cfg: SystemConfig) -> float:
     the closed form gives the power-independent ceiling.  Undefined for
     ``delta = 0`` (the ideal-hardware rate grows without bound).
     """
-    if cfg.delta == 0.0:
-        raise ValueError("no rate ceiling exists for delta = 0")
+    if cfg.delta * cfg.delta == 0.0:
+        raise ValueError("no rate ceiling exists for delta = 0 (or delta**2 = 0 in doubles)")
     _require_receiver_ok(receiver, cfg.nt, cfg.nr)
     dp = derive_params(cfg)
     return _rate_closed_c0(

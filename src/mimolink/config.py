@@ -17,6 +17,7 @@ configuration; :func:`derive_params` computes them all in one place.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,6 +85,13 @@ class SystemConfig:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
+        # Plain ints pass on one identity check (this runs for every copy a
+        # tp scan makes); anything else must be integral, as numpy ints are.
+        if not type(self.nt) is type(self.nr) is type(self.t) is type(self.tp) is int:
+            for name in ("nt", "nr", "t", "tp"):
+                value = getattr(self, name)
+                if not isinstance(value, numbers.Integral):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nt < 1 or self.nr < 1:
             raise ValueError(
                 f"antenna counts must be >= 1, got nt={self.nt}, nr={self.nr}"
@@ -93,10 +101,10 @@ class SystemConfig:
                 "training length must satisfy nt <= tp < t, got "
                 f"nt={self.nt}, tp={self.tp}, t={self.t}"
             )
-        if not self.rho > 0:
-            raise ValueError(f"rho must be > 0 (linear SNR), got {self.rho}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be >= 0, got {self.delta}")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and > 0 (linear SNR), got {self.rho}")
+        if not 0.0 <= self.delta < math.inf:
+            raise ValueError(f"delta must be finite and >= 0, got {self.delta}")
 
     @property
     def td(self) -> int:

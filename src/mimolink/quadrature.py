@@ -14,9 +14,9 @@ Integrands may be scalar (``f(x) -> values``) or vectorized families
 (``f(x) -> (m, len(x))``); in the family case every component must meet its
 own tolerance before an interval is accepted.
 
-Failure to converge within the refinement budget raises
-:class:`~mimolink.config.AccuracyError` rather than returning a degraded
-value.
+Failure to converge within the refinement budget, or a non-finite integrand
+value, raises :class:`~mimolink.config.AccuracyError` rather than returning a
+degraded value.
 """
 
 from __future__ import annotations
@@ -100,6 +100,10 @@ def integrate_family(
     for level in range(max_levels + 1):
         coarse = _eval_panels(f, lo, hi, _X_LO, _W_LO)
         fine = _eval_panels(f, lo, hi, _X_HI, _W_HI)
+        if not (np.all(np.isfinite(fine)) and np.all(np.isfinite(coarse))):
+            # No refinement can fix a non-finite integrand; bisecting anyway
+            # would double the node count at every level.
+            raise AccuracyError(f"integrand is not finite on [{a}, {b}]")
         if done_sum is None:
             done_sum = np.zeros(fine.shape[0])
             done_err = np.zeros(fine.shape[0])

@@ -6,7 +6,9 @@ through ``c0``) but shortens the data phase; the ergodic-rate objective
 ``nt <= tp <= t - 1``.  Two optimizers are provided:
 
 * :func:`optimize_tp_exact` scans every feasible integer ``tp`` against the
-  closed-form ergodic rate — the reference answer at any block length.
+  exact ergodic rate, which the batched quadrature engine
+  (:func:`~mimolink.analytic.rate_scan`) integrates for all training lengths
+  at once — the reference answer at any block length.
 * :func:`optimize_tp_asymptotic` optimizes the deterministic-equivalent
   rate instead.  It too scans exhaustively by default; only for very long
   blocks (``t >= 10_000``), where a full scan is wasteful, does it switch
@@ -19,17 +21,60 @@ and replays are bit-identical.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
-from .analytic import rate_closed_form
+from .analytic import rate_closed_form  # noqa: F401  (unused; wrapped by perfbench/spans.py)
+from .analytic import rate_scan
 from .config import Receiver, SystemConfig
 from .largescale import det_rate
 
-__all__ = ["TpSearchResult", "optimize_tp_exact", "optimize_tp_asymptotic"]
+__all__ = ["SearchTrace", "TpSearchResult", "optimize_tp_exact", "optimize_tp_asymptotic"]
 
 _TERNARY_MIN_T = 10_000
 _TERNARY_WINDOW = 24
+
+
+class SearchTrace(Sequence):
+    """Immutable ``(tp, rate)`` pairs of a search, stored as two typed arrays.
+
+    It reads, compares equal to and hashes like the tuple of pairs it holds,
+    at 16 bytes a pair instead of the ~100 of a tuple of tuples of Python
+    numbers, which matters to callers that keep many full-range scans.
+    """
+
+    __slots__ = ("_tps", "_rates")
+
+    def __init__(self, pairs: Iterable[tuple[int, float]]) -> None:
+        self._tps = array("q")
+        self._rates = array("d")
+        for tp, rate in pairs:
+            self._tps.append(tp)
+            self._rates.append(rate)
+
+    def __len__(self) -> int:
+        return len(self._tps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return self._tps[index], self._rates[index]
+
+    def __iter__(self):
+        return zip(self._tps, self._rates)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (SearchTrace, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -41,16 +86,18 @@ class TpSearchResult:
         rate_at_star: objective value at ``tp_star``.
         trace: every evaluated ``(tp, rate)`` pair, sorted by ``tp`` —
             the full feasible range for the exhaustive method, the probed
-            subset for the ternary method.
+            subset for the ternary method.  Any sequence of pairs is
+            accepted and stored as a :class:`SearchTrace`.
         method: ``"exhaustive"`` or ``"concave-bisection"``.
     """
 
     tp_star: int
     rate_at_star: float
-    trace: tuple[tuple[int, float], ...]
+    trace: Sequence[tuple[int, float]]
     method: str
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "trace", SearchTrace(self.trace))
         if self.method not in ("exhaustive", "concave-bisection"):
             raise ValueError(f"unknown search method: {self.method!r}")
         if not self.trace:
@@ -98,11 +145,12 @@ def _search(
 
 
 def optimize_tp_exact(cfg: SystemConfig, receiver: Receiver) -> TpSearchResult:
-    """Maximize the closed-form ergodic rate over all feasible training
-    lengths by exhaustive scan (``cfg.tp`` only seeds the feasible range)."""
+    """Maximize the exact ergodic rate over all feasible training lengths by
+    exhaustive scan (``cfg.tp`` only seeds the feasible range)."""
+    rates = rate_scan(receiver, cfg)
     return _search(
         cfg,
-        lambda tp: rate_closed_form(receiver, cfg.with_tp(tp)),
+        lambda tp: float(rates[tp - cfg.nt]),
         method="exhaustive",
         use_ternary=False,
     )

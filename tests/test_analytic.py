@@ -6,11 +6,15 @@ implementation of the distribution series at 60-digit precision.
 
 import logging
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mimolink
 from mimolink import (
     Receiver,
     SystemConfig,
@@ -127,6 +131,47 @@ class TestRateClosedVsQuadrature:
                 quad = rate_quadrature(r, cfg)
                 assert closed == pytest.approx(quad, rel=1e-6), (r, cfg)
 
+    def test_massive_array_quadrature(self):
+        # nr = 256: the survival mixture keeps the quadrature at O(nr) work
+        # per node for every receiver.
+        cfg = SystemConfig(nt=8, nr=256, t=200, tp=8, rho=db_to_linear(20), delta=0.1)
+        rates = {r: rate_quadrature(r, cfg) for r in Receiver}
+        assert all(math.isfinite(v) and v > 0 for v in rates.values())
+        assert rates[Receiver.MMSE] == pytest.approx(
+            rate_closed_form(Receiver.MMSE, cfg), rel=1e-8
+        )
+
+    def test_massive_mrc_quadrature_fits_in_3_gib(self):
+        # Under a 3 GiB address-space cap (the benchmark's), MRC at 8x256
+        # must complete instead of raising MemoryError.
+        code = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+            "from mimolink import Receiver, SystemConfig, db_to_linear\n"
+            "from mimolink.analytic import rate_quadrature\n"
+            "cfg = SystemConfig(nt=8, nr=256, t=200, tp=8, rho=db_to_linear(20), delta=0.1)\n"
+            "print(rate_quadrature(Receiver.MRC, cfg))\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(mimolink.__path__[0]), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert math.isfinite(float(out.stdout)) and float(out.stdout) > 0
+
+    @pytest.mark.parametrize("delta", [1e-200, 2e-153, 1e-100])
+    def test_vanishing_delta_falls_back_to_quadrature(self, delta):
+        # c0/delta^2 at or past the double range: the closed form cannot be
+        # evaluated there and must hand over to quadrature, not raise.
+        cfg = SystemConfig(nt=2, nr=3, t=10, tp=2, rho=1.6, delta=delta)
+        for r in Receiver:
+            assert rate_closed_form(r, cfg) == pytest.approx(
+                rate_quadrature(r, cfg), rel=1e-10
+            )
+
     def test_cancellation_fallback_is_logged_and_correct(self, caplog):
         # At this corner the alternating series cancels ~1e8-fold, beyond
         # the 1e6 budget; the value must silently come from quadrature and
@@ -234,9 +279,12 @@ class TestRateCeiling:
         assert vals[0] < vals[1] < vals[2]
 
     def test_undefined_for_ideal_hardware(self):
-        cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=0.0)
-        with pytest.raises(ValueError, match="no rate ceiling"):
-            rate_ceiling(Receiver.ZF, cfg)
+        # delta = 1e-200 squares to 0 in doubles: ideal hardware as far as
+        # the arithmetic goes.
+        for delta in (0.0, 1e-200):
+            cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=delta)
+            with pytest.raises(ValueError, match="no rate ceiling"):
+                rate_ceiling(Receiver.ZF, cfg)
 
 
 class TestRateCurve:

@@ -38,6 +38,26 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError, match="delta"):
             SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=-0.1)
 
+    @pytest.mark.parametrize("field", ["rho", "delta"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_rho_and_delta(self, field, value):
+        kwargs = dict(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=0.1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["nt", "nr", "t", "tp"])
+    @pytest.mark.parametrize("value", [4.5, 4.0, math.nan, "4"])
+    def test_rejects_non_integral_counts(self, field, value):
+        kwargs = dict(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=0.1)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SystemConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SystemConfig(nt=np.int64(4), nr=np.int32(8), t=200, tp=np.int64(6), rho=10.0)
+        assert cfg.nr == 8
+
     def test_rejects_bad_antenna_counts(self):
         with pytest.raises(ValueError, match="antenna counts"):
             SystemConfig(nt=0, nr=4, t=200, tp=4, rho=10.0)

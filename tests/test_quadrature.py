@@ -71,6 +71,19 @@ class TestIntegrate:
                 max_levels=6,
             )
 
+    def test_non_finite_integrand_raises_at_once(self):
+        # NaN meets no tolerance, so refining it would only double the node
+        # count at every level; the first level must raise instead.
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.where(x < 0.5, 1.0, np.nan)
+
+        with pytest.raises(AccuracyError, match="not finite"):
+            integrate(f, 0.0, 1.0, max_levels=3)
+        assert len(calls) == 2  # the coarse and the fine rule of level 0
+
     def test_rejects_multi_component_integrand(self):
         with pytest.raises(ValueError):
             integrate(lambda x: np.stack([x, x**2]), 0.0, 1.0)

@@ -1,9 +1,13 @@
 """Tests for the training-length optimizer."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mimolink import Receiver, SystemConfig, db_to_linear
+from mimolink.analytic import rate_closed_form, rate_quadrature
 from mimolink.largescale import det_rate
 from mimolink.training import (
     TpSearchResult,
@@ -42,6 +46,19 @@ class TestTpSearchResult:
                 tp_star=5, rate_at_star=2.0, trace=((4, 2.0), (5, 2.0)),
                 method="exhaustive",
             )
+
+
+    def test_trace_reads_like_a_tuple_of_pairs(self):
+        pairs = ((4, 2.0), (5, 1.0))
+        r = TpSearchResult(tp_star=4, rate_at_star=2.0, trace=pairs, method="exhaustive")
+        assert r.trace == pairs and hash(r.trace) == hash(pairs)
+        assert list(r.trace) == list(pairs) and len(r.trace) == 2
+        assert r.trace[-1] == (5, 1.0) and r.trace[:1] == ((4, 2.0),)
+        assert [type(x) for x in r.trace[0]] == [int, float]
+        assert r == TpSearchResult(
+            tp_star=4, rate_at_star=2.0, trace=list(pairs), method="exhaustive"
+        )
+        assert pickle.loads(pickle.dumps(r)) == r
 
 
 class TestOptimizeTpExact:
@@ -108,6 +125,68 @@ class TestOptimizeTpExact:
             optimize_tp_exact(cfg15, Receiver.MMSE).tp_star
             > optimize_tp_exact(cfg0, Receiver.MMSE).tp_star
         )
+
+
+@st.composite
+def _scan_case(draw):
+    receiver = draw(st.sampled_from(list(Receiver)))
+    nt = draw(st.integers(1, 16))
+    nr = draw(st.integers(nt, 16))
+    t = nt + draw(st.integers(1, 6))
+    snr_db = draw(st.floats(-10.0, 50.0))
+    delta = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.175)))
+    return receiver, SystemConfig(
+        nt=nt, nr=nr, t=t, tp=nt, rho=db_to_linear(snr_db), delta=delta
+    )
+
+
+class TestBatchedScanEngine:
+    @settings(max_examples=100, deadline=None)
+    @given(_scan_case())
+    def test_trace_matches_single_point_rates(self, case):
+        # Every rate of the batched scan is the single-c0 quadrature rate,
+        # and for delta > 0 also the closed form.
+        receiver, cfg = case
+        res = optimize_tp_exact(cfg, receiver)
+        assert [tp for tp, _ in res.trace] == list(range(cfg.nt, cfg.t))
+        for tp, rate in res.trace:
+            point = cfg.with_tp(tp)
+            assert rate == pytest.approx(rate_quadrature(receiver, point), rel=1e-10)
+            if cfg.delta > 0:
+                assert rate == pytest.approx(rate_closed_form(receiver, point), rel=1e-8)
+
+    def test_chunked_scan_matches_single_point_rates(self):
+        # 196 training lengths span several chunks of the batched integral;
+        # chunk edges must not show in the trace.
+        cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(10), delta=0.05)
+        for receiver in Receiver:
+            trace = dict(optimize_tp_exact(cfg, receiver).trace)
+            for tp in (4, 5, 20, 21, 22, 38, 39, 100, 198, 199):
+                assert trace[tp] == pytest.approx(
+                    rate_quadrature(receiver, cfg.with_tp(tp)), rel=1e-10
+                )
+
+    # fig4 subset: tp* of the closed-form scan this engine replaced, at
+    # -10, 0, 10, 20, 30, 40 dB (4x4, t=200).
+    FIG4_TP_STAR = {
+        (0.0, Receiver.ZF): [59, 31, 19, 14, 11, 9],
+        (0.0, Receiver.MRC): [57, 24, 9, 4, 4, 4],
+        (0.0, Receiver.MMSE): [58, 26, 15, 13, 10, 9],
+        (0.15, Receiver.ZF): [59, 31, 21, 21, 25, 26],
+        (0.15, Receiver.MRC): [57, 24, 10, 6, 5, 5],
+        (0.15, Receiver.MMSE): [58, 26, 17, 18, 22, 24],
+    }
+
+    @pytest.mark.parametrize("delta, receiver", list(FIG4_TP_STAR))
+    def test_fig4_tp_star_pinned(self, delta, receiver):
+        stars = [
+            optimize_tp_exact(
+                SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(s), delta=delta),
+                receiver,
+            ).tp_star
+            for s in (-10.0, 0.0, 10.0, 20.0, 30.0, 40.0)
+        ]
+        assert stars == self.FIG4_TP_STAR[delta, receiver]
 
 
 class TestOptimizeTpAsymptotic:
