@@ -27,11 +27,13 @@ from .config import (
     SystemConfig,
     db_to_linear,
     derive_params,
+    derive_params_at,
     linear_to_db,
 )
 from .largescale import (
     AsymptoticParams,
     det_rate,
+    det_rate_scan,
     det_sinr,
     det_sinr_limit,
     rmt_lemma_check,
@@ -78,7 +80,9 @@ __all__ = [
     "build_coefficients",
     "db_to_linear",
     "derive_params",
+    "derive_params_at",
     "det_rate",
+    "det_rate_scan",
     "det_sinr",
     "det_sinr_limit",
     "empirical_nmse",

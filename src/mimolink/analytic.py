@@ -52,7 +52,14 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .config import AccuracyError, Receiver, SystemConfig, derive_params
+from .config import (
+    AccuracyError,
+    Receiver,
+    SystemConfig,
+    _require_zf_ok,
+    derive_params,
+    derive_params_at,
+)
 from .quadrature import _X_HI, integrate_family
 from .quadrature import integrate  # noqa: F401  (unused; wrapped by perfbench/spans.py)
 from .special import (
@@ -113,13 +120,6 @@ class RateCurve:
 @lru_cache(maxsize=128)
 def _table(nt: int, nr: int, c0: float, delta: float) -> CoefficientTable:
     return build_coefficients(nt, nr, c0, delta)
-
-
-def _require_receiver_ok(receiver: Receiver, nt: int, nr: int) -> None:
-    if receiver is Receiver.ZF and nr < nt:
-        raise ValueError(
-            f"ZF needs at least as many receive as transmit antennas, got nr={nr} < nt={nt}"
-        )
 
 
 def _poisson_tail(a_max: int, u: np.ndarray) -> np.ndarray:
@@ -199,7 +199,7 @@ def sinr_cdf(receiver: Receiver, cfg: SystemConfig, gamma: float) -> float:
     """
     if gamma < 0:
         raise ValueError(f"need gamma >= 0, got {gamma}")
-    _require_receiver_ok(receiver, cfg.nt, cfg.nr)
+    _require_zf_ok(cfg.nt, cfg.nr, receiver)
     d2 = cfg.delta**2
     if d2 > 0 and gamma * d2 >= 1.0:
         return 1.0
@@ -216,8 +216,8 @@ def outage(receiver: Receiver, cfg: SystemConfig, threshold: float) -> float:
     return sinr_cdf(receiver, cfg, threshold)
 
 
-def _rate_prefactor(cfg: SystemConfig) -> float:
-    return cfg.td * cfg.nt / (math.log(2.0) * cfg.t)
+def _rate_prefactor(cfg: SystemConfig, tp: int | np.ndarray) -> float | np.ndarray:
+    return (cfg.t - tp) * cfg.nt / (math.log(2.0) * cfg.t)
 
 
 def _u_knots(k_max: int, c0: float, delta: float) -> tuple[float, np.ndarray]:
@@ -280,10 +280,10 @@ def rate_quadrature(receiver: Receiver, cfg: SystemConfig) -> float:
     u-substitution that maps the SINR wall to infinity; the closed form and
     the low-SNR law are both cross-checked against it.
     """
-    _require_receiver_ok(receiver, cfg.nt, cfg.nr)
+    _require_zf_ok(cfg.nt, cfg.nr, receiver)
     dp = derive_params(cfg)
     val = _rate_quadrature_c0(receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0)
-    return _rate_prefactor(cfg) * float(val[0])
+    return _rate_prefactor(cfg, cfg.tp) * float(val[0])
 
 
 def rate_scan(receiver: Receiver, cfg: SystemConfig) -> np.ndarray:
@@ -293,11 +293,12 @@ def rate_scan(receiver: Receiver, cfg: SystemConfig) -> np.ndarray:
     Entry ``i`` equals ``rate_quadrature(receiver, cfg.with_tp(nt + i))`` to
     the quadrature tolerance.
     """
-    _require_receiver_ok(receiver, cfg.nt, cfg.nr)
-    cfgs = [cfg.with_tp(tp) for tp in range(cfg.nt, cfg.t)]
-    c0 = np.array([derive_params(c).c0 for c in cfgs])
-    prefactor = np.array([_rate_prefactor(c) for c in cfgs])
-    return prefactor * _rate_quadrature_c0(receiver, cfg.nt, cfg.nr, cfg.delta, c0)
+    _require_zf_ok(cfg.nt, cfg.nr, receiver)
+    tp = np.arange(cfg.nt, cfg.t)
+    c0 = derive_params_at(cfg, tp).c0
+    return _rate_prefactor(cfg, tp) * _rate_quadrature_c0(
+        receiver, cfg.nt, cfg.nr, cfg.delta, c0
+    )
 
 
 def _closed_form_terms(
@@ -432,10 +433,10 @@ def rate_closed_form(receiver: Receiver, cfg: SystemConfig) -> float:
     by quadrature directly, since the closed forms are parameterized by the
     distortion level.
     """
-    _require_receiver_ok(receiver, cfg.nt, cfg.nr)
+    _require_zf_ok(cfg.nt, cfg.nr, receiver)
     dp = derive_params(cfg)
     return _rate_closed_c0(
-        receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0, _rate_prefactor(cfg)
+        receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0, _rate_prefactor(cfg, cfg.tp)
     )
 
 
@@ -446,7 +447,7 @@ def rate_low_snr(receiver: Receiver, cfg: SystemConfig) -> float:
     the same with ``nr`` in place of ``(nr - nt + 1)``.  The distortion
     level does not appear: impairments are second-order at low SNR.
     """
-    _require_receiver_ok(receiver, cfg.nt, cfg.nr)
+    _require_zf_ok(cfg.nt, cfg.nr, receiver)
     streams = (cfg.nr - cfg.nt + 1) if receiver is Receiver.ZF else cfg.nr
     return cfg.tp * (cfg.t - cfg.tp) * streams * cfg.rho**2 / (math.log(2.0) * cfg.t * cfg.nt)
 
@@ -461,8 +462,8 @@ def rate_ceiling(receiver: Receiver, cfg: SystemConfig) -> float:
     """
     if cfg.delta * cfg.delta == 0.0:
         raise ValueError("no rate ceiling exists for delta = 0 (or delta**2 = 0 in doubles)")
-    _require_receiver_ok(receiver, cfg.nt, cfg.nr)
+    _require_zf_ok(cfg.nt, cfg.nr, receiver)
     dp = derive_params(cfg)
     return _rate_closed_c0(
-        receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0_bar, _rate_prefactor(cfg)
+        receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0_bar, _rate_prefactor(cfg, cfg.tp)
     )

@@ -51,6 +51,7 @@ import math
 import os
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -314,6 +315,17 @@ def _run_rates(params: dict) -> dict:
     # Point order: snr-major, then delta, then receiver.
     points = list(enumerate(
         (s, d, r) for s in snrs for d in deltas for r in receivers))
+    # The ceiling does not depend on rho: one evaluation per distinct
+    # (receiver, delta, tp) serves every SNR.
+    ceilings: dict = {}
+    ceilings_lock = threading.Lock()
+
+    def ceiling(receiver, cfg):
+        key = (receiver, cfg.delta, cfg.tp)
+        with ceilings_lock:
+            if key not in ceilings:
+                ceilings[key] = rate_ceiling(receiver, cfg)
+            return ceilings[key]
 
     def work(point):
         i, (snr_db, delta, receiver) = point
@@ -329,8 +341,8 @@ def _run_rates(params: dict) -> dict:
             tp_star, analytic = fixed_tp, rate_closed_form(receiver, base)
         cfg = base.with_tp(tp_star)
         emp = empirical_rate(cfg, receiver, trials, _point_stream(seed, i))
-        ceiling = None if delta == 0.0 else rate_ceiling(receiver, cfg)
-        return [snr_db, str(receiver), delta, analytic, emp, ceiling, tp_star]
+        ceil = None if delta == 0.0 else ceiling(receiver, cfg)
+        return [snr_db, str(receiver), delta, analytic, emp, ceil, tp_star]
 
     rows = _pmap(work, points)
     cols = ["snr_dB", "receiver", "delta", "rate_analytic", "rate_empirical",

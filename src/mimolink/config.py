@@ -11,7 +11,8 @@ documented here but deliberately not enforced).
 
 Everything downstream (estimator quality, SINR statistics, rate formulas,
 large-system limits) is driven by a handful of scalars derived from the
-configuration; :func:`derive_params` computes them all in one place.
+configuration; :func:`derive_params_at` computes them all in one place,
+for one training length or for a whole array of them at once.
 """
 
 from __future__ import annotations
@@ -21,12 +22,15 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "Receiver",
     "SystemConfig",
     "DerivedParams",
     "AccuracyError",
     "derive_params",
+    "derive_params_at",
     "db_to_linear",
     "linear_to_db",
 ]
@@ -145,6 +149,9 @@ class DerivedParams:
         beta: receive-to-transmit antenna ratio ``nr / nt``.
         d: auxiliary scalar of the large-system MMSE fixed point,
             ``c1 / (1 + delta**2) + 1 - beta``.
+
+    Built by :func:`derive_params_at` with an array of training lengths,
+    every field but ``beta`` is an array with one entry per length.
     """
 
     epsilon: float
@@ -169,7 +176,19 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
     Returns:
         The full set of derived scalars.
     """
-    nt, tp, rho, delta = cfg.nt, cfg.tp, cfg.rho, cfg.delta
+    return derive_params_at(cfg, cfg.tp)
+
+
+def derive_params_at(cfg: SystemConfig, tp: int | np.ndarray) -> DerivedParams:
+    """Derived scalars of ``cfg`` at training length ``tp`` (``cfg.tp`` is
+    ignored).
+
+    ``tp`` may be an int or an integer array of feasible training lengths;
+    every ``tp``-dependent field is then an array of the same shape, and
+    entry ``i`` equals ``derive_params(cfg.with_tp(tp[i]))`` bit for bit
+    (numpy's elementwise arithmetic rounds exactly as Python floats do).
+    """
+    nt, rho, delta = cfg.nt, cfg.rho, cfg.delta
     d2 = delta * delta
 
     epsilon = rho * tp / (nt * (rho * d2 + 1.0))
@@ -197,3 +216,11 @@ def derive_params(cfg: SystemConfig) -> DerivedParams:
         beta=beta,
         d=d,
     )
+
+
+def _require_zf_ok(nt: int, nr: int, *receivers: Receiver) -> None:
+    """Raise ``ValueError`` if ZF is among ``receivers`` with ``nr < nt``."""
+    if Receiver.ZF in receivers and nr < nt:
+        raise ValueError(
+            f"ZF needs at least as many receive as transmit antennas, got nr={nr} < nt={nt}"
+        )

@@ -4,9 +4,11 @@ When both antenna counts grow with a fixed ratio ``beta = nr/nt``, the
 per-stream SINRs of all three receivers stop fluctuating: they converge
 almost surely to deterministic equivalents that depend only on
 ``(beta, c1, delta)``, where ``c1 = c0/nt`` stays finite in the limit.
-This module evaluates those equivalents, the associated deterministic rate,
-the common large-``beta`` limit, and ships a property-check harness for the
-random-matrix identities the derivation rests on.
+This module evaluates those equivalents, the associated deterministic rate
+(at one training length, or at every feasible one in a single numpy pass for
+the training-length search), the common large-``beta`` limit, and ships a
+property-check harness for the random-matrix identities the derivation
+rests on.
 
 The MMSE equivalent solves the quadratic fixed point
 ``s m^2 + d m - beta = 0`` with ``s = c1/(1+delta^2)`` and
@@ -24,14 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Receiver, SystemConfig, derive_params
-from .simulate import RandomStream
+from .config import Receiver, SystemConfig, derive_params_at
+from .simulate import RandomStream, _cn
 
 __all__ = [
     "AsymptoticParams",
     "det_sinr",
     "det_sinr_limit",
     "det_rate",
+    "det_rate_scan",
     "rmt_lemma_check",
 ]
 
@@ -43,7 +46,9 @@ class AsymptoticParams:
     ``beta`` is the receive/transmit antenna ratio (>= 1; ZF additionally
     needs beta > 1), ``c1`` the per-transmit-antenna noise-scaling factor,
     ``epsilon_bar`` the training SNR gain, and ``d = c1/(1+delta^2)+1-beta``
-    the linear coefficient of the MMSE fixed-point quadratic.
+    the linear coefficient of the MMSE fixed-point quadratic.  ``c1``,
+    ``epsilon_bar`` and ``d`` may be arrays of one shape (one entry per
+    training length); :func:`det_sinr` then broadcasts over them.
     """
 
     beta: float
@@ -54,19 +59,23 @@ class AsymptoticParams:
     def __post_init__(self) -> None:
         if not self.beta >= 1.0:
             raise ValueError(f"need beta >= 1, got {self.beta}")
-        if not self.c1 > 0.0:
+        if not np.all(self.c1 > 0.0):
             raise ValueError(f"need c1 > 0, got {self.c1}")
 
     @classmethod
-    def from_config(cls, cfg: SystemConfig) -> "AsymptoticParams":
-        dp = derive_params(cfg)
+    def from_config(
+        cls, cfg: SystemConfig, tp: int | np.ndarray | None = None
+    ) -> "AsymptoticParams":
+        """Parameters of ``cfg``, at training length(s) ``tp`` if given."""
+        dp = derive_params_at(cfg, cfg.tp if tp is None else tp)
         return cls(beta=dp.beta, c1=dp.c1, epsilon_bar=dp.epsilon_bar, d=dp.d)
 
 
-def _mmse_m(ap: AsymptoticParams, delta: float) -> float:
+def _mmse_m(ap: AsymptoticParams, delta: float) -> float | np.ndarray:
     """Closed solution of the MMSE fixed-point quadratic s m^2 + d m = beta."""
     s = ap.c1 / (1.0 + delta * delta)
-    return (-ap.d + math.sqrt(ap.d * ap.d + 4.0 * ap.beta * s)) / (2.0 * s)
+    # np.sqrt broadcasts and, like math.sqrt, is correctly rounded.
+    return (-ap.d + np.sqrt(ap.d * ap.d + 4.0 * ap.beta * s)) / (2.0 * s)
 
 
 def _mmse_fixed_point(
@@ -87,7 +96,9 @@ def _mmse_fixed_point(
     raise RuntimeError("MMSE fixed-point iteration did not converge")
 
 
-def det_sinr(receiver: Receiver, ap: AsymptoticParams, delta: float) -> float:
+def det_sinr(
+    receiver: Receiver, ap: AsymptoticParams, delta: float
+) -> float | np.ndarray:
     """Deterministic equivalent of the per-stream SINR in the large-antenna
     limit at fixed ``beta``.
 
@@ -95,6 +106,7 @@ def det_sinr(receiver: Receiver, ap: AsymptoticParams, delta: float) -> float:
     ``beta/(1 + delta^2 + c1 + delta^2 beta)``; MMSE: via the fixed-point
     solution ``m`` as ``m/(1 + delta^2 + delta^2 m)``.  All three stay
     strictly below the distortion wall ``1/delta^2`` for finite beta.
+    Array-valued ``ap`` fields give an array of SINRs.
     """
     d2 = delta * delta
     if receiver is Receiver.ZF:
@@ -119,23 +131,32 @@ def det_sinr_limit(delta: float) -> float:
     return 1.0 / (delta * delta)
 
 
+def _det_rate(receiver: Receiver, cfg: SystemConfig, tp, log2):
+    """The rate formula at training length(s) ``tp``, an int or an array."""
+    gbar = det_sinr(receiver, AsymptoticParams.from_config(cfg, tp), cfg.delta)
+    return (1.0 - tp / cfg.t) * cfg.nt * log2(1.0 + gbar)
+
+
 def det_rate(receiver: Receiver, cfg: SystemConfig) -> float:
     """Deterministic-equivalent achievable rate, bits per channel use:
     ``(1 - tp/t) nt log2(1 + det_sinr)`` with parameters derived from cfg."""
-    ap = AsymptoticParams.from_config(cfg)
-    gbar = det_sinr(receiver, ap, cfg.delta)
-    return (1.0 - cfg.tp / cfg.t) * cfg.nt * math.log2(1.0 + gbar)
+    return float(_det_rate(receiver, cfg, cfg.tp, math.log2))
+
+
+def det_rate_scan(receiver: Receiver, cfg: SystemConfig) -> np.ndarray:
+    """Deterministic-equivalent rate at every feasible training length
+    ``tp = nt .. t-1`` (``cfg.tp`` is ignored), in one numpy pass.
+
+    Entry ``i`` is ``det_rate(receiver, cfg.with_tp(nt + i))`` up to the last
+    bit of the logarithm (``np.log2`` and ``math.log2`` may differ by an ulp).
+    """
+    return _det_rate(receiver, cfg, np.arange(cfg.nt, cfg.t), np.log2)
 
 
 # ---------------------------------------------------------------------------
 # Random-matrix identity checks
 
 _LEMMA_DRAWS = {"inversion": 10, "trace": 100, "rank1": 1000, "stieltjes": 10}
-
-
-def _cn(g: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    z = g.standard_normal(size=shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
 
 
 def rmt_lemma_check(

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DerivedParams, Receiver, SystemConfig, derive_params
+from .config import DerivedParams, Receiver, SystemConfig, _require_zf_ok, derive_params
 
 __all__ = [
     "BATCH_TRIALS",
@@ -89,8 +89,9 @@ class SinrSampleSet:
 
 def _cn(g: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """I.i.d. standard circularly-symmetric complex Gaussians."""
-    z = g.standard_normal(size=shape + (2,))
-    return (z[..., 0] + 1j * z[..., 1]) / math.sqrt(2.0)
+    # Consecutive (re, im) draws viewed in place as one complex entry.
+    z = g.standard_normal(size=shape + (2,)).view(np.complex128)[..., 0]
+    return z / math.sqrt(2.0)
 
 
 def gen_pilot_matrix(nt: int, tp: int) -> np.ndarray:
@@ -222,13 +223,6 @@ def _estimate_batches(cfg: SystemConfig, trials: int, rs: RandomStream):
         batch += 1
 
 
-def _require_zf_ok(cfg: SystemConfig, receivers) -> None:
-    if Receiver.ZF in receivers and cfg.nr < cfg.nt:
-        raise ValueError(
-            f"ZF needs at least as many receive as transmit antennas, got nr={cfg.nr} < nt={cfg.nt}"
-        )
-
-
 def sample_sinr_multi(
     cfg: SystemConfig, receivers: tuple[Receiver, ...], trials: int, rs: RandomStream
 ) -> dict[Receiver, SinrSampleSet]:
@@ -242,7 +236,7 @@ def sample_sinr_multi(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     receivers = tuple(dict.fromkeys(receivers))
-    _require_zf_ok(cfg, receivers)
+    _require_zf_ok(cfg.nt, cfg.nr, *receivers)
     dpar = derive_params(cfg)
     sigma_est = math.sqrt(dpar.sigma2_est)
     parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
@@ -294,7 +288,7 @@ def sample_sinr_model(
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     receivers = tuple(dict.fromkeys(receivers))
-    _require_zf_ok(cfg, receivers)
+    _require_zf_ok(cfg.nt, cfg.nr, *receivers)
     dpar = derive_params(cfg)
     parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
     done = 0
@@ -364,7 +358,7 @@ def validate_sinr_end_to_end(
     """
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    _require_zf_ok(cfg, (receiver,))
+    _require_zf_ok(cfg.nt, cfg.nr, receiver)
     dpar = derive_params(cfg)
     sigma_est = math.sqrt(dpar.sigma2_est)
     scale = cfg.rho / cfg.nt

@@ -10,13 +10,16 @@ through ``c0``) but shortens the data phase; the ergodic-rate objective
   (:func:`~mimolink.analytic.rate_scan`) integrates for all training lengths
   at once — the reference answer at any block length.
 * :func:`optimize_tp_asymptotic` optimizes the deterministic-equivalent
-  rate instead.  It too scans exhaustively by default; only for very long
-  blocks (``t >= 10_000``), where a full scan is wasteful, does it switch
-  to a ternary search that exploits unimodality, finishing with a small
-  exhaustive window so the returned integer is exact.
+  rate instead.  It too scans exhaustively by default, taking every rate
+  from one numpy pass (:func:`~mimolink.largescale.det_rate_scan`); only for
+  very long blocks (``t >= 10_000``), where a full scan is wasteful, does it
+  switch to a ternary search that exploits unimodality, calling
+  :func:`~mimolink.largescale.det_rate` per probed ``tp`` and finishing with
+  a small exhaustive window so the returned integer is exact.
 
-Both tie-break toward the smallest training length, so results are unique
-and replays are bit-identical.
+Both exhaustive scans share one reduction of the rate vector (the first
+argmax), and both methods tie-break toward the smallest training length, so
+results are unique and replays are bit-identical.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .analytic import rate_closed_form  # noqa: F401  (unused; wrapped by perfbench/spans.py)
 from .analytic import rate_scan
 from .config import Receiver, SystemConfig
-from .largescale import det_rate
+from .largescale import det_rate, det_rate_scan
 
 __all__ = ["SearchTrace", "TpSearchResult", "optimize_tp_exact", "optimize_tp_asymptotic"]
 
@@ -53,6 +58,14 @@ class SearchTrace(Sequence):
         for tp, rate in pairs:
             self._tps.append(tp)
             self._rates.append(rate)
+
+    @classmethod
+    def from_arrays(cls, tps: np.ndarray, rates: np.ndarray) -> "SearchTrace":
+        """Trace of the pairs ``zip(tps, rates)``, copied in one step each."""
+        trace = cls(())
+        trace._tps.frombytes(np.ascontiguousarray(tps, dtype=np.int64).tobytes())
+        trace._rates.frombytes(np.ascontiguousarray(rates, dtype=np.float64).tobytes())
+        return trace
 
     def __len__(self) -> int:
         return len(self._tps)
@@ -97,7 +110,8 @@ class TpSearchResult:
     method: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "trace", SearchTrace(self.trace))
+        if not isinstance(self.trace, SearchTrace):
+            object.__setattr__(self, "trace", SearchTrace(self.trace))
         if self.method not in ("exhaustive", "concave-bisection"):
             raise ValueError(f"unknown search method: {self.method!r}")
         if not self.trace:
@@ -110,9 +124,19 @@ class TpSearchResult:
             raise ValueError("tp_star must be the smallest maximizer in the trace")
 
 
-def _search(
-    cfg: SystemConfig, objective: Callable[[int], float], method: str, use_ternary: bool
-) -> TpSearchResult:
+def _exhaustive(cfg: SystemConfig, rates: np.ndarray) -> TpSearchResult:
+    """Search result of a full scan, ``rates[i]`` being the rate at
+    ``tp = nt + i``; the first argmax is the smallest maximizer."""
+    i = int(np.argmax(rates))
+    return TpSearchResult(
+        tp_star=cfg.nt + i,
+        rate_at_star=float(rates[i]),
+        trace=SearchTrace.from_arrays(np.arange(cfg.nt, cfg.t), rates),
+        method="exhaustive",
+    )
+
+
+def _ternary(cfg: SystemConfig, objective: Callable[[int], float]) -> TpSearchResult:
     lo, hi = cfg.nt, cfg.t - 1
     cache: dict[int, float] = {}
 
@@ -121,39 +145,31 @@ def _search(
             cache[tp] = objective(tp)
         return cache[tp]
 
-    if use_ternary:
-        # Narrow the bracket by unimodality, then settle the final window
-        # exhaustively so plateaus and float ties cannot mislead the search.
-        a, b = lo, hi
-        while b - a > _TERNARY_WINDOW:
-            m1 = a + (b - a) // 3
-            m2 = b - (b - a) // 3
-            if f(m1) < f(m2):
-                a = m1 + 1
-            else:
-                b = m2
-        for tp in range(a, b + 1):
-            f(tp)
-    else:
-        for tp in range(lo, hi + 1):
-            f(tp)
+    # Narrow the bracket by unimodality, then settle the final window
+    # exhaustively so plateaus and float ties cannot mislead the search.
+    a, b = lo, hi
+    while b - a > _TERNARY_WINDOW:
+        m1 = a + (b - a) // 3
+        m2 = b - (b - a) // 3
+        if f(m1) < f(m2):
+            a = m1 + 1
+        else:
+            b = m2
+    for tp in range(a, b + 1):
+        f(tp)
 
     trace = tuple(sorted(cache.items()))
     best = max(r for _, r in trace)
     tp_star = min(tp for tp, r in trace if r == best)
-    return TpSearchResult(tp_star=tp_star, rate_at_star=best, trace=trace, method=method)
+    return TpSearchResult(
+        tp_star=tp_star, rate_at_star=best, trace=trace, method="concave-bisection"
+    )
 
 
 def optimize_tp_exact(cfg: SystemConfig, receiver: Receiver) -> TpSearchResult:
     """Maximize the exact ergodic rate over all feasible training lengths by
     exhaustive scan (``cfg.tp`` only seeds the feasible range)."""
-    rates = rate_scan(receiver, cfg)
-    return _search(
-        cfg,
-        lambda tp: float(rates[tp - cfg.nt]),
-        method="exhaustive",
-        use_ternary=False,
-    )
+    return _exhaustive(cfg, rate_scan(receiver, cfg))
 
 
 def optimize_tp_asymptotic(cfg: SystemConfig, receiver: Receiver) -> TpSearchResult:
@@ -164,10 +180,6 @@ def optimize_tp_asymptotic(cfg: SystemConfig, receiver: Receiver) -> TpSearchRes
     unimodal objective plus an exhaustive final window, which returns the
     same integer as a full scan at a fraction of the evaluations.
     """
-    use_ternary = cfg.t >= _TERNARY_MIN_T
-    return _search(
-        cfg,
-        lambda tp: det_rate(receiver, cfg.with_tp(tp)),
-        method="concave-bisection" if use_ternary else "exhaustive",
-        use_ternary=use_ternary,
-    )
+    if cfg.t >= _TERNARY_MIN_T:
+        return _ternary(cfg, lambda tp: det_rate(receiver, cfg.with_tp(tp)))
+    return _exhaustive(cfg, det_rate_scan(receiver, cfg))

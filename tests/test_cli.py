@@ -1,12 +1,13 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from mimolink import AccuracyError, Receiver, SystemConfig, db_to_linear
+from mimolink import AccuracyError, Receiver, SystemConfig, db_to_linear, rate_ceiling
 from mimolink import cli
 from mimolink.cli import main
 from mimolink.training import optimize_tp_exact
@@ -229,6 +230,47 @@ class TestReproducibilityAndVerify:
         res = _run(["verify", str(mpath)])
         assert res.exit_code == 1
         assert "MISMATCH" in res.output
+
+
+class TestGoldenDigests:
+    """SHA-256 of output files written by the code before the asymptotic
+    scan was vectorized.  A change that alters a data byte must update these
+    on purpose; a rerun of one build cannot catch that.  The rates digest
+    covers Monte Carlo cells, so it also pins this platform's numpy and BLAS
+    rounding."""
+
+    @staticmethod
+    def _digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_asymptotic_fig6(self, tmp_path):
+        res = _run(["asymptotic", "--preset", "fig6", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert self._digest(tmp_path / "asymptotic_tp.csv") == (
+            "f085d66c85096afd41130693693927da3750e17f165234252e827ffc701fca41"
+        )
+
+    def test_rates_fixed_tp(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_ceiling(receiver, cfg):
+            calls.append((receiver, cfg.delta, cfg.tp))
+            return rate_ceiling(receiver, cfg)
+
+        monkeypatch.setattr(cli, "rate_ceiling", counting_ceiling)
+        res = _run([
+            "rates", "--tp", "8", "--trials", "64", "--snr-db-step", "25",
+            "--seed", "777", "--out", str(tmp_path),
+        ])
+        assert res.exit_code == 0, res.output
+        assert self._digest(tmp_path / "rates.csv") == (
+            "5ffd85f9d273b9cd5ca51fbfe7f405b01f4c152d48777b80a63c864ffaa44f55"
+        )
+        # The ceiling is rho-independent: one evaluation per (receiver,
+        # delta > 0), not one per SNR.
+        assert sorted(calls) == sorted(
+            (r, d, 8) for r in Receiver for d in (0.05, 0.15)
+        )
 
 
 class TestPresets:

@@ -10,6 +10,7 @@ from mimolink import (
     SystemConfig,
     db_to_linear,
     derive_params,
+    derive_params_at,
     linear_to_db,
 )
 
@@ -160,6 +161,24 @@ class TestDerivedParams:
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=0.1)
         a, b = derive_params(cfg), derive_params(cfg)
         assert a == b
+
+
+class TestDeriveParamsAt:
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.175])
+    @pytest.mark.parametrize("snr_db", [-10.0, 7.3, 40.0])
+    def test_array_equals_scalar_bit_for_bit(self, snr_db, delta):
+        cfg = SystemConfig(nt=8, nr=64, t=300, tp=8, rho=db_to_linear(snr_db), delta=delta)
+        tp = np.arange(cfg.nt, cfg.t)
+        vec = derive_params_at(cfg, tp)
+        for field in vec.__dataclass_fields__:
+            col = np.broadcast_to(getattr(vec, field), tp.shape)
+            want = [getattr(derive_params(cfg.with_tp(int(k))), field) for k in tp]
+            assert [float(x).hex() for x in col] == [x.hex() for x in want], field
+
+    def test_int_is_derive_params(self):
+        cfg = SystemConfig(nt=4, nr=6, t=50, tp=9, rho=3.0, delta=0.1)
+        assert derive_params_at(cfg, 9) == derive_params(cfg)
+        assert derive_params_at(cfg.with_tp(4), 9) == derive_params(cfg)
 
 
 class TestEpsilonMonotonicity:

@@ -11,6 +11,7 @@ from mimolink.largescale import (
     _mmse_fixed_point,
     _mmse_m,
     det_rate,
+    det_rate_scan,
     det_sinr,
     det_sinr_limit,
     rmt_lemma_check,
@@ -160,6 +161,33 @@ class TestDetRate:
                 AsymptoticParams.from_config(cfg), 0.1)),
             rel=1e-12,
         )
+
+
+class TestDetRateScan:
+    @pytest.mark.parametrize("receiver", list(Receiver))
+    @pytest.mark.parametrize("nr, delta", [(16, 0.0), (16, 0.15), (256, 0.1)])
+    @pytest.mark.parametrize("snr_db", [-10.0, 10.0, 30.0])
+    def test_equals_scalar_det_rate(self, receiver, nr, delta, snr_db):
+        cfg = SystemConfig(nt=8, nr=nr, t=500, tp=8, rho=db_to_linear(snr_db), delta=delta)
+        rates = det_rate_scan(receiver, cfg)
+        assert rates.shape == (cfg.t - cfg.nt,)
+        want = np.array([det_rate(receiver, cfg.with_tp(tp)) for tp in range(8, 500)])
+        np.testing.assert_allclose(rates, want, rtol=1e-15, atol=0.0)
+
+    def test_det_sinr_broadcasts(self):
+        cfg = SystemConfig(nt=4, nr=8, t=40, tp=4, rho=10.0, delta=0.1)
+        tp = np.arange(4, 40)
+        ap = AsymptoticParams.from_config(cfg, tp)
+        for receiver in Receiver:
+            vec = det_sinr(receiver, ap, 0.1)
+            for k, g in zip(tp, vec):
+                point = AsymptoticParams.from_config(cfg.with_tp(int(k)))
+                assert g == det_sinr(receiver, point, 0.1)
+
+    def test_zf_needs_beta_above_one(self):
+        cfg = SystemConfig(nt=4, nr=4, t=40, tp=4, rho=10.0, delta=0.1)
+        with pytest.raises(ValueError, match="beta > 1"):
+            det_rate_scan(Receiver.ZF, cfg)
 
 
 class TestRmtLemmaChecks:

@@ -14,6 +14,7 @@ from mimolink import (
 )
 from mimolink.simulate import (
     RandomStream,
+    _cn,
     empirical_nmse,
     empirical_outage,
     empirical_rate,
@@ -60,6 +61,14 @@ class TestRandomStream:
     def test_shifted(self):
         rs = RandomStream(7, stream_id=3)
         assert rs.shifted(5) == RandomStream(7, stream_id=8)
+
+    def test_complex_draw_layout(self):
+        # Entry k takes the real part from draw 2k and the imaginary part
+        # from draw 2k+1: the layout the replay contract fixes.
+        z = _cn(RandomStream(11, 3).generator(), (64, 5, 3))
+        x = RandomStream(11, 3).generator().standard_normal((64, 5, 3, 2))
+        assert z.shape == (64, 5, 3)
+        assert np.array_equal(z, (x[..., 0] + 1j * x[..., 1]) / math.sqrt(2.0))
 
 
 class TestLmmseEstimate:

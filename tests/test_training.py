@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mimolink import Receiver, SystemConfig, db_to_linear
-from mimolink.analytic import rate_closed_form, rate_quadrature
+from mimolink.analytic import rate_closed_form, rate_quadrature, rate_scan
 from mimolink.largescale import det_rate
 from mimolink.training import (
     TpSearchResult,
@@ -188,6 +188,32 @@ class TestBatchedScanEngine:
         ]
         assert stars == self.FIG4_TP_STAR[delta, receiver]
 
+    # Rates of the scan before its c0 and prefactor vectors were derived in
+    # one numpy pass (4x4, t=12): the vectorized derivation is bit-exact.
+    RATE_SCAN_PINNED = {
+        (0.0, 0.0, Receiver.ZF): [
+            "0x1.30a0b6e3b60c7p-2", "0x1.3068b271008c6p-2", "0x1.203fcf48314adp-2",
+            "0x1.03a744db9c3cfp-2", "0x1.ba53eac6cea39p-3", "0x1.5d57d9055472bp-3",
+            "0x1.e6734459c62b2p-4", "0x1.f8c81c600ed91p-5",
+        ],
+        (10.0, 0.05, Receiver.MRC): [
+            "0x1.709859c2544e5p+1", "0x1.49545947b2180p+1", "0x1.1e58ee1ba0e7cp+1",
+            "0x1.e23cd4e613f97p+0", "0x1.84db0dcb1dd70p+0", "0x1.25766acba8f8fp+0",
+            "0x1.8940fb4b7bd3bp-1", "0x1.8ae297aed086ap-2",
+        ],
+        (30.0, 0.15, Receiver.MMSE): [
+            "0x1.0161f711bcc11p+3", "0x1.da83a54316013p+2", "0x1.a76143dce7286p+2",
+            "0x1.6c5bddbcfdf4ep+2", "0x1.2b57464a0b0a8p+2", "0x1.cb34467591648p+1",
+            "0x1.38186ae6665a6p+1", "0x1.3d61143622d51p+0",
+        ],
+    }
+
+    @pytest.mark.parametrize("snr_db, delta, receiver", list(RATE_SCAN_PINNED))
+    def test_rate_scan_bits_pinned(self, snr_db, delta, receiver):
+        cfg = SystemConfig(nt=4, nr=4, t=12, tp=4, rho=db_to_linear(snr_db), delta=delta)
+        got = [float(r).hex() for r in rate_scan(receiver, cfg)]
+        assert got == self.RATE_SCAN_PINNED[snr_db, delta, receiver]
+
 
 class TestOptimizeTpAsymptotic:
     def test_small_t_is_exhaustive(self):
@@ -231,3 +257,122 @@ class TestOptimizeTpAsymptotic:
         s0 = optimize_tp_asymptotic(cfg0, Receiver.MMSE).tp_star
         s15 = optimize_tp_asymptotic(cfg15, Receiver.MMSE).tp_star
         assert s15 <= s0
+
+
+def _scalar_scan_tp_star(receiver, cfg):
+    """tp* of a per-tp scan of the scalar det_rate (smallest maximizer)."""
+    rates = [det_rate(receiver, cfg.with_tp(tp)) for tp in range(cfg.nt, cfg.t)]
+    return cfg.nt + rates.index(max(rates))
+
+
+@st.composite
+def _asymptotic_case(draw):
+    nt = draw(st.integers(1, 64))
+    nr = draw(st.integers(nt, 64))
+    receivers = list(Receiver) if nr > nt else [Receiver.MRC, Receiver.MMSE]
+    receiver = draw(st.sampled_from(receivers))
+    t = draw(st.integers(nt + 1, 2000))
+    snr_db = draw(st.floats(-10.0, 40.0))
+    delta = draw(st.one_of(st.just(0.0), st.floats(0.0, 0.2)))
+    return receiver, SystemConfig(
+        nt=nt, nr=nr, t=t, tp=nt, rho=db_to_linear(snr_db), delta=delta
+    )
+
+
+class TestVectorizedAsymptoticScan:
+    @settings(max_examples=100, deadline=None)
+    @given(_asymptotic_case())
+    def test_matches_scalar_scan(self, case):
+        receiver, cfg = case
+        res = optimize_tp_asymptotic(cfg, receiver)
+        assert res.method == "exhaustive"
+        assert res.tp_star == _scalar_scan_tp_star(receiver, cfg)
+        for tp, rate in res.trace:
+            assert rate == pytest.approx(det_rate(receiver, cfg.with_tp(tp)), rel=1e-15)
+
+    # tp* of the per-tp scalar scan this pass replaced, on the fig5 grid
+    # (t=500, -10, -5, ..., 30 dB) and the fig6 grid (t=500, -10, -8, ..., 30 dB).
+    FIG5_TP_STAR = {
+        (8, 16, 0.0, Receiver.ZF): [137, 95, 65, 47, 36, 30, 26, 23, 20],
+        (8, 16, 0.0, Receiver.MRC): [132, 83, 48, 27, 15, 9, 8, 8, 8],
+        (8, 16, 0.0, Receiver.MMSE): [133, 87, 58, 42, 34, 29, 26, 23, 20],
+        (8, 16, 0.1, Receiver.ZF): [137, 95, 65, 47, 37, 31, 28, 27, 26],
+        (8, 16, 0.1, Receiver.MRC): [132, 83, 48, 27, 16, 10, 8, 8, 8],
+        (8, 16, 0.1, Receiver.MMSE): [133, 87, 58, 43, 35, 30, 28, 26, 26],
+        (16, 32, 0.0, Receiver.ZF): [167, 122, 86, 63, 49, 40, 35, 30, 27],
+        (16, 32, 0.0, Receiver.MRC): [161, 108, 65, 37, 21, 16, 16, 16, 16],
+        (16, 32, 0.0, Receiver.MMSE): [162, 112, 76, 57, 46, 39, 34, 30, 27],
+        (16, 32, 0.1, Receiver.ZF): [167, 122, 86, 64, 50, 42, 38, 36, 35],
+        (16, 32, 0.1, Receiver.MRC): [161, 108, 65, 38, 22, 16, 16, 16, 16],
+        (16, 32, 0.1, Receiver.MMSE): [162, 112, 77, 57, 47, 41, 37, 35, 35],
+        (32, 64, 0.0, Receiver.ZF): [194, 151, 112, 84, 65, 54, 45, 40, 35],
+        (32, 64, 0.0, Receiver.MRC): [189, 137, 86, 51, 32, 32, 32, 32, 32],
+        (32, 64, 0.0, Receiver.MMSE): [190, 141, 99, 75, 61, 52, 45, 39, 35],
+        (32, 64, 0.1, Receiver.ZF): [194, 151, 112, 84, 67, 56, 50, 47, 46],
+        (32, 64, 0.1, Receiver.MRC): [189, 137, 86, 51, 32, 32, 32, 32, 32],
+        (32, 64, 0.1, Receiver.MMSE): [190, 141, 99, 75, 62, 54, 49, 47, 46],
+    }
+    FIG6_TP_STAR = {
+        (8, 16, 0.0, Receiver.ZF): [
+            137, 119, 103, 88, 75, 65, 57, 50, 44, 40, 36, 34, 31, 29, 27, 26, 24, 23,
+            22, 21, 20,
+        ],
+        (8, 16, 0.0, Receiver.MRC): [
+            132, 111, 92, 75, 60, 48, 38, 30, 24, 19, 15, 12, 10, 8, 8, 8, 8, 8, 8, 8,
+            8,
+        ],
+        (8, 16, 0.0, Receiver.MMSE): [
+            133, 113, 95, 80, 67, 58, 50, 45, 40, 37, 34, 32, 30, 28, 27, 26, 24, 23,
+            22, 21, 20,
+        ],
+        (8, 16, 0.15, Receiver.ZF): [
+            138, 119, 103, 88, 76, 65, 57, 51, 45, 41, 38, 35, 33, 32, 31, 30, 30, 29,
+            29, 29, 29,
+        ],
+        (8, 16, 0.15, Receiver.MRC): [
+            132, 111, 92, 75, 60, 48, 39, 31, 25, 20, 17, 14, 12, 10, 9, 9, 8, 8, 8, 8,
+            8,
+        ],
+        (8, 16, 0.15, Receiver.MMSE): [
+            133, 113, 95, 80, 67, 58, 51, 45, 41, 38, 36, 34, 32, 31, 30, 30, 29, 29,
+            29, 29, 29,
+        ],
+        (8, 256, 0.0, Receiver.ZF): [
+            110, 89, 71, 58, 48, 40, 35, 30, 28, 25, 24, 22, 21, 20, 20, 19, 18, 18, 17,
+            17, 16,
+        ],
+        (8, 256, 0.0, Receiver.MRC): [
+            107, 85, 67, 53, 41, 33, 26, 20, 16, 13, 10, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+        ],
+        (8, 256, 0.0, Receiver.MMSE): [
+            109, 88, 71, 58, 48, 40, 34, 30, 28, 25, 24, 22, 21, 20, 20, 19, 18, 18, 17,
+            17, 16,
+        ],
+        (8, 256, 0.15, Receiver.ZF): [
+            108, 87, 69, 55, 44, 35, 28, 23, 19, 15, 13, 11, 9, 8, 8, 8, 8, 8, 8, 8, 8,
+        ],
+        (8, 256, 0.15, Receiver.MRC): [
+            106, 84, 65, 50, 39, 30, 23, 18, 15, 12, 10, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8,
+        ],
+        (8, 256, 0.15, Receiver.MMSE): [
+            108, 86, 69, 55, 43, 35, 28, 23, 19, 15, 13, 11, 9, 8, 8, 8, 8, 8, 8, 8, 8,
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "pins, snrs",
+        [(FIG5_TP_STAR, range(-10, 31, 5)), (FIG6_TP_STAR, range(-10, 31, 2))],
+        ids=["fig5", "fig6"],
+    )
+    def test_tp_star_pinned(self, pins, snrs):
+        for (nt, nr, delta, receiver), want in pins.items():
+            stars = [
+                optimize_tp_asymptotic(
+                    SystemConfig(
+                        nt=nt, nr=nr, t=500, tp=nt, rho=db_to_linear(s), delta=delta
+                    ),
+                    receiver,
+                ).tp_star
+                for s in snrs
+            ]
+            assert stars == want, (nt, nr, delta, receiver)
