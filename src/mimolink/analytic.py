@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .config import (
     AccuracyError,
@@ -65,6 +64,7 @@ from .quadrature import integrate  # noqa: F401  (unused; wrapped by perfbench/s
 from .special import (
     CoefficientTable,
     _lchoose,
+    _log_factorial,
     build_coefficients,
     exp_integral_en_scaled,
     log_tricomi_u_family,
@@ -90,6 +90,10 @@ _CANCEL_LIMIT = 1.0e6
 # Bound on the batched rate integrand's working set, in c0 values x mixture
 # terms x seed quadrature nodes (one float64 array of this size is 2 MiB).
 _WORKING_SET = 1 << 18
+
+# Log-spaced seed knots of the u-space rate integral; the adaptive bisection
+# refines wherever the tolerance needs more.
+_SEED_KNOTS = 12
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,12 @@ def _poisson_tail(a_max: int, u: np.ndarray) -> np.ndarray:
     accuracy, deep in the tail too.
     """
     k = np.arange(a_max)[:, None]
-    return np.cumsum(np.exp(xlogy(k, u) - u - gammaln(k + 1)), axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # u = 0: 0 * log 0
+        log_pmf = k * np.log(u)
+    log_pmf[0] = 0.0
+    log_pmf -= u
+    log_pmf -= _log_factorial(k)
+    return np.cumsum(np.exp(log_pmf, out=log_pmf), axis=0)
 
 
 @lru_cache(maxsize=128)
@@ -224,15 +233,9 @@ def _u_knots(k_max: int, c0: float, delta: float) -> tuple[float, np.ndarray]:
     """Truncation point and seed knots for the u-space rate integral."""
     u_max = k_max + 15.0 * math.sqrt(k_max + 10.0) + 60.0
     # Small-u structure appears on the scale where v departs from 1,
-    # u ~ c0/(1+delta^2); resolve it with log-spaced knots.
+    # u ~ c0/(1+delta^2); seed it with log-spaced knots.
     floor = max(min(1e-6, c0 * 1e-3), u_max * 1e-15)
-    knots = np.concatenate(
-        [
-            np.logspace(math.log10(floor), math.log10(u_max), 70),
-            np.linspace(1.0, u_max, 24),
-        ]
-    )
-    return u_max, knots
+    return u_max, np.logspace(math.log10(floor), math.log10(u_max), _SEED_KNOTS)
 
 
 def _rate_quadrature_c0(
@@ -250,8 +253,7 @@ def _rate_quadrature_c0(
     k_max = nr - nt if receiver is Receiver.ZF else nr - 1
     d2 = delta * delta
     terms = 1 if receiver is Receiver.ZF else _mixture_log_binomials(receiver, nt, nr).size
-    seed_nodes = _u_knots(k_max, float(c0.min()), delta)[1].size * _X_HI.size
-    chunk = max(1, _WORKING_SET // (terms * seed_nodes))
+    chunk = max(1, _WORKING_SET // (terms * _SEED_KNOTS * _X_HI.size))
     out = []
     for c in np.array_split(c0, -(-c0.size // chunk)):
         u_max, knots = _u_knots(k_max, float(c.min()), delta)
@@ -334,11 +336,11 @@ def _closed_form_terms(
 
     tab = _table(nt, nr, c0, delta)
     if receiver is Receiver.MMSE:
-        base = tab.log_beta + gammaln(k_all + 1)  # (k,)
+        base = tab.log_beta + _log_factorial(k_all)  # (k,)
         n_of_row = np.full(nr, nt)
     else:  # MRC: flatten admissible (p, k) pairs
         p_idx, k_idx = np.nonzero(np.isfinite(tab.log_alpha))
-        base = tab.log_alpha[p_idx, k_idx] + gammaln(k_idx + 1)
+        base = tab.log_alpha[p_idx, k_idx] + _log_factorial(k_idx)
         n_of_row = nt + p_idx
         k_all = k_idx
 

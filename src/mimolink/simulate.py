@@ -90,8 +90,11 @@ class SinrSampleSet:
 def _cn(g: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """I.i.d. standard circularly-symmetric complex Gaussians."""
     # Consecutive (re, im) draws viewed in place as one complex entry.
-    z = g.standard_normal(size=shape + (2,)).view(np.complex128)[..., 0]
-    return z / math.sqrt(2.0)
+    # Scaling the real pair by the reciprocal gives the bits of dividing the
+    # complex entry by sqrt(2), without a second array.
+    z = g.standard_normal(size=shape + (2,))
+    z *= 1.0 / math.sqrt(2.0)
+    return z.view(np.complex128)[..., 0]
 
 
 def gen_pilot_matrix(nt: int, tp: int) -> np.ndarray:

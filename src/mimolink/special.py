@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .config import AccuracyError
 from .quadrature import integrate_family
@@ -50,6 +50,25 @@ _EULER = float(np.euler_gamma)
 
 # Crossover between the small-z power series and the continued fraction.
 _SERIES_CUTOFF = 1.5
+
+
+@lru_cache(maxsize=None)
+def _log_factorial_table(size: int) -> np.ndarray:
+    table = np.array([math.lgamma(k + 1.0) for k in range(size)])
+    table.setflags(write=False)  # shared by every caller through the cache
+    return table
+
+
+def _log_factorial(n) -> np.ndarray:
+    """``log n!`` elementwise for integer-valued ``n`` (any real dtype).
+
+    Negative ``n`` gives ``+inf``, the pole of ``log Gamma(n + 1)``, so the
+    coefficient formulas can mask structural zeros as ``-inf`` terms.  The
+    table behind it grows in powers of two, so a process builds a handful.
+    """
+    idx = np.asarray(n).astype(np.int64)
+    size = 1 << max(8, int(idx.max(initial=0)).bit_length())
+    return np.where(idx >= 0, _log_factorial_table(size)[np.maximum(idx, 0)], np.inf)
 
 
 def _theta_series(n: int, z: float) -> float:
@@ -151,11 +170,14 @@ def upper_incomplete_gamma(n: int, z: float) -> float:
         raise ValueError(f"order must be an integer >= 1, got n={n}")
     if z < 0:
         raise ValueError(f"argument must be >= 0, got z={z}")
+    log_gamma_n = math.lgamma(n)
     if z == 0.0:
-        return math.exp(gammaln(n))
+        return math.exp(log_gamma_n)
     m = np.arange(n)
-    log_terms = m * math.log(z) - gammaln(m + 1)
-    return float(np.exp(gammaln(n) - z + logsumexp(log_terms)))
+    log_terms = m * math.log(z) - _log_factorial(m)
+    peak = log_terms.max()
+    log_sum = peak + math.log(np.exp(log_terms - peak).sum())
+    return float(np.exp(log_gamma_n - z + log_sum))
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +255,7 @@ def log_tricomi_u_family(ab_pairs: np.ndarray, z: float) -> np.ndarray:
     )
     if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
         raise AccuracyError("Tricomi U quadrature produced a non-positive component")
-    return scale + np.log(vals) - gammaln(a) - a * math.log(z)
+    return scale + np.log(vals) - _log_factorial(a - 1.0) - a * math.log(z)
 
 
 def log_tricomi_u(a: int, b: int, z: float) -> float:
@@ -274,7 +296,7 @@ def _lchoose(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     out[zero_k] = 0.0
     valid = (~zero_k) & (n >= k)
     nv, kv = n[valid], k[valid]
-    out[valid] = gammaln(nv + 1) - gammaln(kv + 1) - gammaln(nv - kv + 1)
+    out[valid] = _log_factorial(nv) - _log_factorial(kv) - _log_factorial(nv - kv)
     return out
 
 
@@ -335,14 +357,15 @@ def build_coefficients(nt: int, nr: int, c0: float, delta: float) -> Coefficient
     k = np.arange(nr)
     p = np.arange(nr)[:, None]  # (p, 1) against (k,)
 
-    log_alpha = _lchoose(nt + p - 2, p) + p * log_ratio - gammaln(k - p + 1)
+    log_alpha = _lchoose(nt + p - 2, p) + p * log_ratio - _log_factorial(k - p)
     log_alpha = np.where(p <= k, log_alpha, -np.inf)
 
     # beta: for each k sum over admissible p in log space.  Terms with
     # k - p > nt - 1 vanish through the binomial convention.
-    terms = _lchoose(nt - 1, k - p) + (p - k) * (-log_ratio) - gammaln(p + 1)
+    terms = _lchoose(nt - 1, k - p) + (p - k) * (-log_ratio) - _log_factorial(p)
     terms = np.where(p <= k, terms, -np.inf)
-    log_beta = logsumexp(terms, axis=0)
+    peak = terms.max(axis=0)  # finite: the p = k term always is
+    log_beta = peak + np.log(np.exp(terms - peak).sum(axis=0))
 
     if not np.all(np.isfinite(log_beta)):
         raise AccuracyError("beta coefficient table has a non-finite log entry")

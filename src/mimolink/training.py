@@ -47,7 +47,8 @@ class SearchTrace(Sequence):
 
     It reads, compares equal to and hashes like the tuple of pairs it holds,
     at 16 bytes a pair instead of the ~100 of a tuple of tuples of Python
-    numbers, which matters to callers that keep many full-range scans.
+    numbers, which matters to callers that keep many full-range scans.  The
+    ``tp`` column of a full scan is a ``range``, so it holds 8 bytes a pair.
     """
 
     __slots__ = ("_tps", "_rates")
@@ -56,14 +57,20 @@ class SearchTrace(Sequence):
         self._tps = array("q")
         self._rates = array("d")
         for tp, rate in pairs:
+            if self._tps and tp <= self._tps[-1]:
+                raise ValueError("trace pairs must be strictly increasing in tp")
             self._tps.append(tp)
             self._rates.append(rate)
 
     @classmethod
-    def from_arrays(cls, tps: np.ndarray, rates: np.ndarray) -> "SearchTrace":
-        """Trace of the pairs ``zip(tps, rates)``, copied in one step each."""
+    def from_arrays(cls, tps: range | np.ndarray, rates: np.ndarray) -> "SearchTrace":
+        """Trace of the pairs ``zip(tps, rates)``, copied in one step each;
+        a ``range`` of training lengths is kept as it is."""
         trace = cls(())
-        trace._tps.frombytes(np.ascontiguousarray(tps, dtype=np.int64).tobytes())
+        if isinstance(tps, range):
+            trace._tps = tps
+        else:
+            trace._tps.frombytes(np.ascontiguousarray(tps, dtype=np.int64).tobytes())
         trace._rates.frombytes(np.ascontiguousarray(rates, dtype=np.float64).tobytes())
         return trace
 
@@ -116,11 +123,12 @@ class TpSearchResult:
             raise ValueError(f"unknown search method: {self.method!r}")
         if not self.trace:
             raise ValueError("empty search trace")
-        best = max(r for _, r in self.trace)
+        rates = self.trace._rates
+        best = max(rates)
         if not self.rate_at_star == best:
             raise ValueError("rate_at_star must equal the best traced rate")
-        first_best = min(tp for tp, r in self.trace if r == best)
-        if self.tp_star != first_best:
+        # The trace is sorted by tp, so the first maximizer is the smallest.
+        if self.tp_star != self.trace._tps[rates.index(best)]:
             raise ValueError("tp_star must be the smallest maximizer in the trace")
 
 
@@ -131,7 +139,7 @@ def _exhaustive(cfg: SystemConfig, rates: np.ndarray) -> TpSearchResult:
     return TpSearchResult(
         tp_star=cfg.nt + i,
         rate_at_star=float(rates[i]),
-        trace=SearchTrace.from_arrays(np.arange(cfg.nt, cfg.t), rates),
+        trace=SearchTrace.from_arrays(range(cfg.nt, cfg.t), rates),
         method="exhaustive",
     )
 

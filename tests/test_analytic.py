@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +24,7 @@ from mimolink import (
 )
 from mimolink.analytic import (
     RateCurve,
+    _rate_quadrature_c0,
     outage,
     rate_ceiling,
     rate_closed_form,
@@ -162,6 +164,31 @@ class TestRateClosedVsQuadrature:
         assert out.returncode == 0, out.stderr
         assert math.isfinite(float(out.stdout)) and float(out.stdout) > 0
 
+    def test_runtime_does_not_import_scipy(self):
+        # scipy is a test oracle only: the CLI and the rate, CDF and tp
+        # engines run on numpy and the standard library.
+        code = (
+            "import sys\n"
+            "import mimolink.cli\n"
+            "from mimolink import Receiver, SystemConfig, db_to_linear\n"
+            "from mimolink.analytic import rate_closed_form, sinr_cdf\n"
+            "from mimolink.training import optimize_tp_exact\n"
+            "cfg = SystemConfig(nt=4, nr=6, t=40, tp=4, rho=db_to_linear(10), delta=0.1)\n"
+            "for r in Receiver:\n"
+            "    optimize_tp_exact(cfg, r); sinr_cdf(r, cfg, 2.0); rate_closed_form(r, cfg)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.dirname(mimolink.__path__[0]), env.get("PYTHONPATH", "")]
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("delta", [1e-200, 2e-153, 1e-100])
     def test_vanishing_delta_falls_back_to_quadrature(self, delta):
         # c0/delta^2 at or past the double range: the closed form cannot be
@@ -226,6 +253,57 @@ class TestRateClosedVsQuadrature:
         analytic = rate_closed_form(Receiver.MMSE, cfg)
         mc = empirical_rate(cfg, Receiver.MMSE, 20000, RandomStream(303))
         assert analytic == pytest.approx(mc, rel=0.02)
+
+
+def _mp_rate_integral(receiver, nt, nr, delta, c0):
+    """30-digit mpmath value of the u-space rate integral
+    ``int_0^inf S(u) c0 / ((c0 + d^2 u)(c0 + (1+d^2) u)) du`` that
+    ``_rate_quadrature_c0`` evaluates, with the survival mixture of
+    ``_survival_u`` summed term by term."""
+    with mp.workdps(30):
+        d2 = mp.mpf(delta) ** 2
+        c0 = mp.mpf(c0)
+
+        def survival(u):
+            term, q = mp.exp(-u), [mp.mpf(0)]
+            for k in range(1, nr + 1):  # q[a] = Q(a, u) = e^-u sum_{k<a} u^k / k!
+                q.append(q[-1] + term)
+                term *= u / k
+            if receiver is Receiver.ZF:
+                return q[nr - nt + 1]
+            w = (1 + d2) * u / c0
+            if receiver is Receiver.MMSE:  # C(nt-1, j) w^j / (1+w)^(nt-1)
+                j_max, z = min(nt, nr), w
+            else:  # C(nt+j-2, j) (w/(1+w))^j / (1+w)^(nt-1)
+                j_max, z = nr, w / (1 + w)
+            coef, total = mp.mpf(1), mp.mpf(0)
+            for j in range(j_max):
+                total += coef * q[nr - j]
+                coef *= z * ((nt - 1 - j) if receiver is Receiver.MMSE else (nt - 1 + j)) / (j + 1)
+            return total / (1 + w) ** (nt - 1)
+
+        def f(u):
+            return survival(u) * c0 / ((c0 + d2 * u) * (c0 + (1 + d2) * u))
+
+        knots = sorted({mp.mpf(0), c0 / 10, c0, mp.mpf(1), mp.mpf(nr), mp.mpf(2 * nr + 40)})
+        return mp.quad(f, knots + [mp.inf])
+
+
+class TestRateQuadratureReference:
+    """The seeded adaptive quadrature against a 30-digit mpmath integral of
+    the same survival mixture, at a c0 near 1 (10 dB) and a small one
+    (40 dB), whose small-u structure is the finest."""
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.15])
+    @pytest.mark.parametrize("nt, nr", [(4, 4), (8, 64)])
+    def test_matches_mpmath(self, nt, nr, delta):
+        for snr_db in (10.0, 40.0):
+            cfg = SystemConfig(nt=nt, nr=nr, t=100, tp=nt, rho=db_to_linear(snr_db), delta=delta)
+            c0 = derive_params(cfg).c0
+            for r in Receiver:
+                got = _rate_quadrature_c0(r, nt, nr, delta, np.array([c0]))[0]
+                want = float(_mp_rate_integral(r, nt, nr, delta, c0))
+                assert abs(got - want) <= 1e-13 * want, (r, snr_db, got, want)
 
 
 class TestRateLowSnr:

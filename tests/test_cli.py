@@ -233,11 +233,12 @@ class TestReproducibilityAndVerify:
 
 
 class TestGoldenDigests:
-    """SHA-256 of output files written by the code before the asymptotic
-    scan was vectorized.  A change that alters a data byte must update these
-    on purpose; a rerun of one build cannot catch that.  The rates digest
-    covers Monte Carlo cells, so it also pins this platform's numpy and BLAS
-    rounding."""
+    """SHA-256 of output files: fig6 as written before the asymptotic scan
+    was vectorized, the rates run as written since the rate quadrature took
+    12 seed knots and log-factorials from ``math.lgamma``.  A change that
+    alters a data byte must update these on purpose; a rerun of one build
+    cannot catch that.  The rates digest covers Monte Carlo cells, so it
+    also pins this platform's numpy and BLAS rounding."""
 
     @staticmethod
     def _digest(path):
@@ -264,7 +265,7 @@ class TestGoldenDigests:
         ])
         assert res.exit_code == 0, res.output
         assert self._digest(tmp_path / "rates.csv") == (
-            "5ffd85f9d273b9cd5ca51fbfe7f405b01f4c152d48777b80a63c864ffaa44f55"
+            "c838f7ab943b86e4729efa3f4a338f85c7650466d290ab42cdaff64d632e9f61"
         )
         # The ceiling is rho-independent: one evaluation per (receiver,
         # delta > 0), not one per SNR.

@@ -14,6 +14,7 @@ import scipy.special
 
 from mimolink.special import (
     CoefficientTable,
+    _log_factorial,
     build_coefficients,
     exp_integral_en,
     exp_integral_en_scaled,
@@ -143,6 +144,18 @@ def _u_by_quadrature(a: int, b: int, z: float) -> float:
 
     val, _ = scipy.integrate.quad(f, 0.0, np.inf, epsabs=0, epsrel=1e-12, limit=400)
     return val / scipy.special.gamma(a)
+
+
+class TestLogFactorial:
+    def test_matches_scipy_gammaln(self):
+        # Integer orders well past every table size used at run time; the
+        # poles (n < 0) come back as +inf, as gammaln(n + 1) gives them.
+        n = np.arange(-3, 3000)
+        got = _log_factorial(n.astype(float))
+        want = scipy.special.gammaln(n + 1.0)
+        np.testing.assert_array_equal(got[n < 0], np.inf)
+        np.testing.assert_allclose(got[n >= 0], want[n >= 0], rtol=1e-15, atol=0)
+        assert _log_factorial(np.array([[2], [5]])).tolist() == [[math.lgamma(3.0)], [math.lgamma(6.0)]]
 
 
 class TestTricomiU:
