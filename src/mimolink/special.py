@@ -65,8 +65,12 @@ def _log_factorial(n) -> np.ndarray:
     Negative ``n`` gives ``+inf``, the pole of ``log Gamma(n + 1)``, so the
     coefficient formulas can mask structural zeros as ``-inf`` terms.  The
     table behind it grows in powers of two, so a process builds a handful.
+    Non-integer ``n`` raises ``ValueError`` rather than being truncated.
     """
-    idx = np.asarray(n).astype(np.int64)
+    n = np.asarray(n)
+    idx = n.astype(np.int64)
+    if n.dtype.kind == "f" and not np.array_equal(idx, n):
+        raise ValueError("log-factorial arguments must be integer-valued")
     size = 1 << max(8, int(idx.max(initial=0)).bit_length())
     return np.where(idx >= 0, _log_factorial_table(size)[np.maximum(idx, 0)], np.inf)
 
@@ -212,6 +216,8 @@ def log_tricomi_u_family(ab_pairs: np.ndarray, z: float) -> np.ndarray:
         raise ValueError(f"U argument must be > 0, got z={z}")
     a = ab[:, 0]
     b = ab[:, 1]
+    if not np.array_equal(ab, np.round(ab)):
+        raise ValueError("U parameters (a, b) must be integers")
     if np.any(a < 1):
         raise ValueError("U first parameter must be >= 1 for the Laplace form")
     q = b - a - 1.0  # exponent of (1 + x/z)

@@ -63,14 +63,14 @@ class SearchTrace(Sequence):
             self._rates.append(rate)
 
     @classmethod
-    def from_arrays(cls, tps: range | np.ndarray, rates: np.ndarray) -> "SearchTrace":
-        """Trace of the pairs ``zip(tps, rates)``, copied in one step each;
-        a ``range`` of training lengths is kept as it is."""
+    def from_range(cls, tps: range, rates: np.ndarray) -> "SearchTrace":
+        """Trace of the pairs ``zip(tps, rates)`` of a full scan: the
+        increasing ``range`` is kept as it is, the rates are copied in one
+        step."""
+        if tps.step < 1 or len(tps) != len(rates):
+            raise ValueError("a scan trace needs an increasing tp range, one rate per tp")
         trace = cls(())
-        if isinstance(tps, range):
-            trace._tps = tps
-        else:
-            trace._tps.frombytes(np.ascontiguousarray(tps, dtype=np.int64).tobytes())
+        trace._tps = tps
         trace._rates.frombytes(np.ascontiguousarray(rates, dtype=np.float64).tobytes())
         return trace
 
@@ -106,8 +106,9 @@ class TpSearchResult:
         rate_at_star: objective value at ``tp_star``.
         trace: every evaluated ``(tp, rate)`` pair, sorted by ``tp`` —
             the full feasible range for the exhaustive method, the probed
-            subset for the ternary method.  Any sequence of pairs is
-            accepted and stored as a :class:`SearchTrace`.
+            subset for the ternary method.  Any sequence of pairs strictly
+            increasing in ``tp`` is accepted and stored as a
+            :class:`SearchTrace`; other pairs raise ``ValueError``.
         method: ``"exhaustive"`` or ``"concave-bisection"``.
     """
 
@@ -139,7 +140,7 @@ def _exhaustive(cfg: SystemConfig, rates: np.ndarray) -> TpSearchResult:
     return TpSearchResult(
         tp_star=cfg.nt + i,
         rate_at_star=float(rates[i]),
-        trace=SearchTrace.from_arrays(range(cfg.nt, cfg.t), rates),
+        trace=SearchTrace.from_range(range(cfg.nt, cfg.t), rates),
         method="exhaustive",
     )
 

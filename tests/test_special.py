@@ -157,8 +157,20 @@ class TestLogFactorial:
         np.testing.assert_allclose(got[n >= 0], want[n >= 0], rtol=1e-15, atol=0)
         assert _log_factorial(np.array([[2], [5]])).tolist() == [[math.lgamma(3.0)], [math.lgamma(6.0)]]
 
+    def test_rejects_non_integer_arguments(self):
+        # Truncating 2.5 to 2 would return log 2! for log Gamma(3.5) silently.
+        with pytest.raises(ValueError, match="integer"):
+            _log_factorial(np.array([1.0, 2.5]))
+
 
 class TestTricomiU:
+    @pytest.mark.parametrize("a, b", [(2.5, 1), (2, 0.5)])
+    def test_rejects_non_integer_parameters(self, a, b):
+        with pytest.raises(ValueError, match="integers"):
+            log_tricomi_u(a, b, 1.0)
+        with pytest.raises(ValueError, match="integers"):
+            tricomi_u(a, b, 1.0)
+
     def test_equals_exponential_integral_when_a_b_one(self):
         # U(1, 1, z) = e^z E_1(z)
         z = 2.0

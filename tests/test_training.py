@@ -11,6 +11,7 @@ from mimolink import Receiver, SystemConfig, db_to_linear
 from mimolink.analytic import rate_closed_form, rate_quadrature, rate_scan
 from mimolink.largescale import det_rate
 from mimolink.training import (
+    SearchTrace,
     TpSearchResult,
     optimize_tp_asymptotic,
     optimize_tp_exact,
@@ -67,6 +68,13 @@ class TestTpSearchResult:
                 tp_star=4, rate_at_star=2.0, trace=((5, 2.0), (4, 2.0)),
                 method="exhaustive",
             )
+
+    def test_range_trace_needs_increasing_range_and_one_rate_per_tp(self):
+        rates = np.array([1.0, 2.0])
+        assert SearchTrace.from_range(range(4, 6), rates) == ((4, 1.0), (5, 2.0))
+        for tps in (range(5, 3, -1), range(4, 7)):
+            with pytest.raises(ValueError, match="increasing tp range"):
+                SearchTrace.from_range(tps, rates)
 
     def test_exhaustive_result_is_compact(self):
         # A full scan keeps its tp column as a range and its rates as one
