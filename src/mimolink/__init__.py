@@ -11,7 +11,6 @@ reproducibility manifests.
 """
 
 from .analytic import (
-    RateCurve,
     outage,
     rate_ceiling,
     rate_closed_form,
@@ -55,11 +54,9 @@ from .simulate import (
 from .special import (
     CoefficientTable,
     build_coefficients,
-    exp_integral_en,
     exp_integral_en_scaled,
     log_tricomi_u,
     tricomi_u,
-    upper_incomplete_gamma,
 )
 from .training import TpSearchResult, optimize_tp_asymptotic, optimize_tp_exact
 
@@ -72,7 +69,6 @@ __all__ = [
     "CoefficientTable",
     "DerivedParams",
     "RandomStream",
-    "RateCurve",
     "Receiver",
     "SinrSampleSet",
     "SystemConfig",
@@ -88,7 +84,6 @@ __all__ = [
     "empirical_nmse",
     "empirical_outage",
     "empirical_rate",
-    "exp_integral_en",
     "exp_integral_en_scaled",
     "gen_pilot_matrix",
     "linear_to_db",
@@ -109,6 +104,5 @@ __all__ = [
     "simulate_training",
     "sinr_cdf",
     "tricomi_u",
-    "upper_incomplete_gamma",
     "validate_sinr_end_to_end",
 ]

@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -71,7 +70,6 @@ from .special import (
 )
 
 __all__ = [
-    "RateCurve",
     "sinr_cdf",
     "outage",
     "rate_closed_form",
@@ -94,31 +92,6 @@ _WORKING_SET = 1 << 18
 # Log-spaced seed knots of the u-space rate integral; the adaptive bisection
 # refines wherever the tolerance needs more.
 _SEED_KNOTS = 12
-
-
-@dataclass(frozen=True)
-class RateCurve:
-    """One plotted curve: rate (or a rate-like quantity) against one axis.
-
-    ``axis`` names the sweep variable (``"snr-dB"``, ``"tp"``, or
-    ``"antennas"``); ``points`` are (x, rate) pairs sorted by x with no
-    duplicates and nonnegative rates; ``provenance`` records which engine
-    produced the numbers (``"analytic"``, ``"quadrature"``, ``"simulated"``,
-    or ``"asymptotic"``); ``cfg`` snapshots the fixed parameters.
-    """
-
-    axis: str
-    points: tuple[tuple[float, float], ...]
-    provenance: str
-    receiver: Receiver
-    cfg: SystemConfig
-
-    def __post_init__(self) -> None:
-        xs = [p[0] for p in self.points]
-        if any(b <= a for a, b in zip(xs, xs[1:])):
-            raise ValueError("curve points must be strictly increasing in x")
-        if any(p[1] < 0 for p in self.points):
-            raise ValueError("curve rates must be nonnegative")
 
 
 @lru_cache(maxsize=128)

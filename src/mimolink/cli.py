@@ -17,8 +17,8 @@ byte-for-byte (the manifest's wall-clock and timestamp fields are outside
 that contract); ``verify`` automates the check and exits 0 on a full
 match, 1 on any mismatch.
 
-Reproducibility layout: the sweep points of a run are enumerated in a
-fixed nested order (documented per runner below); point ``i`` draws from
+Reproducibility layout: the sweep points of a table are enumerated in a
+fixed nested order (documented at each sweep below); point ``i`` draws from
 the dedicated stream ``RandomStream(seed, stream_id=(i+1) << 20)``,
 leaving stream-id headroom below for the simulator's per-batch offsets.
 Sweep points are dispatched to a small thread pool; outputs are assembled
@@ -28,23 +28,25 @@ Exit codes: 0 success; 2 usage error (bad flags or infeasible parameter
 combinations); 3 internal accuracy failure (a numerical routine could not
 meet its target); 1 verification mismatch.
 
-Presets (``--preset``) reproduce the library's reference figures; any
-explicitly given flag overrides the corresponding preset value:
+Presets reproduce the library's reference figures and are the only source
+of defaults.  Parameters are layered: the subcommand's default preset
+(marked *), then ``--preset``, then any explicitly given flag:
 
 =======  ===========  ====================================================
 preset   subcommand   parameters
 =======  ===========  ====================================================
-fig1     nmse         4x4, T=100, Tp=4, delta {0,.05,.1,.15}, -10..60 dB
-fig2     outage       5x5 and 5x30 at 30 dB, delta {0,.05,.1,.175}
-fig3     rates        4x4, T=200, delta {0,.05,.15}, -10..40 dB, Tp opt.
-fig4     opt-tp       4x4, T=200, delta {0,.15}, -10..40 dB
-fig5     asymptotic   8x16 -> 32x64, T=500, delta {0,.1} (convergence)
+fig1 *   nmse         4x4, T=100, Tp=4, delta {0,.05,.1,.15}, -10..60 dB
+fig2 *   outage       5x5 and 5x30 at 30 dB, delta {0,.05,.1,.175}
+fig3 *   rates        4x4, T=200, delta {0,.05,.15}, -10..40 dB, Tp opt.
+fig4 *   opt-tp       4x4, T=200, delta {0,.15}, -10..40 dB
+fig5 *   asymptotic   8x16 -> 32x64, T=500, delta {0,.1} (convergence)
 fig6     asymptotic   8x16 and 8x256, T=500, delta {0,.15} (training)
 =======  ===========  ====================================================
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -75,6 +77,10 @@ from .training import optimize_tp_asymptotic, optimize_tp_exact
 __all__ = ["main"]
 
 _RECEIVER_ORDER = (Receiver.ZF, Receiver.MRC, Receiver.MMSE)
+
+# Largest dB grid a sweep builds; a longer one is a usage error, raised
+# before any point is built.
+_MAX_GRID_POINTS = 10**6
 
 # --------------------------------------------------------------------------
 # Presets: resolved parameter values for the reference-figure sweeps.
@@ -157,31 +163,31 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    """Inclusive arithmetic dB grid built from an integer index (no float
-    accumulation, so the spacing and endpoints are exact and reproducible)."""
+def _grid(params: dict, name: str) -> list[float]:
+    """Inclusive arithmetic dB grid ``{name}_min .. {name}_max`` in steps of
+    ``{name}_step``, built from an integer index (no float accumulation, so
+    the spacing and endpoints are exact and reproducible)."""
+    lo, hi, step = (params[f"{name}_{end}"] for end in ("min", "max", "step"))
+    flag = "--" + name.replace("_", "-")
+    if not all(math.isfinite(v) for v in (lo, hi, step)):
+        raise click.UsageError(
+            f"{flag}-min/-max/-step must be finite, got {lo}, {hi}, {step}")
     if step <= 0:
         raise click.UsageError(f"grid step must be positive, got {step}")
     if hi < lo:
         raise click.UsageError(f"empty grid: max {hi} < min {lo}")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(n)]
+    last = (hi - lo) / step + 1e-9
+    if last >= _MAX_GRID_POINTS:  # also catches an overflow to inf
+        raise click.UsageError(
+            f"{flag} grid would have {last + 1:.4g} points, "
+            f"more than {_MAX_GRID_POINTS}")
+    return [lo + i * step for i in range(int(math.floor(last)) + 1)]
 
 
 def _receivers(name: str) -> tuple[Receiver, ...]:
     if name == "all":
         return _RECEIVER_ORDER
     return (Receiver(name),)
-
-
-def _pmap(fn, items):
-    """Map over sweep points on a thread pool, results in input order."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(x) for x in items]
-    workers = max(1, min(8, os.cpu_count() or 1, len(items)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _point_stream(seed: int, index: int) -> RandomStream:
@@ -236,85 +242,61 @@ def _emit(out_dir: Path, subcommand: str, params: dict, tables: dict,
 
 
 # --------------------------------------------------------------------------
-# Runners: params -> {file_stem: (columns, rows)}.  Pure functions of the
-# resolved params, which is what lets `verify` replay them bit-for-bit.
+# Sweeps.  Each output table is declared by a function of the resolved
+# params that returns ``(points, work, columns)``: the sweep points in their
+# nested order, a pure ``work(i, point) -> rows`` and the column names, or
+# None when the params leave the table out.  ``_sweep`` maps ``work`` over
+# the points; the tables are pure functions of the params, which is what
+# lets `verify` replay them bit-for-bit.  ``work`` calls the library through
+# this module's globals at run time, so a wrapper bound there afterwards (a
+# tracer, a test's counter) sees every call.
 
 
-def _run_nmse(params: dict) -> dict:
-    snrs = _grid(params["snr_db_min"], params["snr_db_max"], params["snr_db_step"])
-    deltas = params["delta"]
-    trials, seed = params["trials"], params["seed"]
+def _nmse(p: dict):
+    """Point order: snr-major, delta-minor."""
 
-    # Point order: snr-major, delta-minor.
-    points = list(enumerate((s, d) for s in snrs for d in deltas))
-
-    def work(point):
-        i, (snr_db, delta) = point
-        cfg = SystemConfig(
-            nt=params["nt"], nr=params["nr"], t=params["t"], tp=params["tp"],
-            rho=db_to_linear(snr_db), delta=delta,
-        )
-        dp = derive_params(cfg)
+    def work(i, point):
+        snr_db, delta = point
+        cfg = SystemConfig(nt=p["nt"], nr=p["nr"], t=p["t"], tp=p["tp"],
+                           rho=db_to_linear(snr_db), delta=delta)
         floor = 0.0 if delta == 0.0 else 1.0 / (
             1.0 + cfg.tp / (cfg.nt * delta * delta)
         )
-        emp = empirical_nmse(cfg, trials, _point_stream(seed, i))
-        return [snr_db, delta, dp.sigma2_err, floor, emp]
+        emp = empirical_nmse(cfg, p["trials"], _point_stream(p["seed"], i))
+        return [[snr_db, delta, derive_params(cfg).sigma2_err, floor, emp]]
 
-    rows = _pmap(work, points)
-    cols = ["snr_dB", "delta", "nmse_analytic", "nmse_floor", "nmse_empirical"]
-    return {"nmse": (cols, rows)}
+    points = [(s, d) for s in _grid(p, "snr_db") for d in p["delta"]]
+    return points, work, ["snr_dB", "delta", "nmse_analytic", "nmse_floor",
+                          "nmse_empirical"]
 
 
-def _run_outage(params: dict) -> dict:
-    configs = [tuple(c) for c in params["configs"]]
-    deltas = params["delta"]
-    rho = db_to_linear(params["snr_db"])
-    thresholds_db = _grid(
-        params["threshold_db_min"], params["threshold_db_max"],
-        params["threshold_db_step"],
-    )
-    receivers = _receivers(params["receiver"])
-    trials, seed = params["trials"], params["seed"]
+def _outage(p: dict):
+    """Point order: config-major, delta-minor; one simulation per point is
+    shared by every receiver and threshold.  The SINR statistics do not
+    depend on the block length, so any t > tp serves."""
+    rho = db_to_linear(p["snr_db"])
+    thresholds = [db_to_linear(x_db) for x_db in _grid(p, "threshold_db")]
+    receivers = _receivers(p["receiver"])
 
-    # Point order: config-major, delta-minor; one simulation per point is
-    # shared by every receiver and threshold.  The SINR statistics do not
-    # depend on the block length, so any t > tp serves.
-    points = list(enumerate((c, d) for c in configs for d in deltas))
-
-    def work(point):
-        i, ((nt, nr), delta) = point
-        tp = params["tp"] if params["tp"] is not None else nt
+    def work(i, point):
+        (nt, nr), delta = point
+        tp = p["tp"] if p["tp"] is not None else nt
         cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp + 2, tp=tp, rho=rho,
                            delta=delta)
-        samples = sample_sinr_multi(cfg, receivers, trials, _point_stream(seed, i))
-        rows = []
-        for receiver in receivers:
-            for x_db in thresholds_db:
-                x = db_to_linear(x_db)
-                rows.append([
-                    nt, nr, x, str(receiver), delta,
-                    sinr_cdf(receiver, cfg, x),
-                    empirical_outage(samples[receiver], x),
-                ])
-        return rows
+        samples = sample_sinr_multi(cfg, receivers, p["trials"],
+                                    _point_stream(p["seed"], i))
+        return [[nt, nr, x, str(r), delta, sinr_cdf(r, cfg, x),
+                 empirical_outage(samples[r], x)]
+                for r in receivers for x in thresholds]
 
-    rows = [r for chunk in _pmap(work, points) for r in chunk]
-    cols = ["nt", "nr", "threshold", "receiver", "delta",
-            "outage_analytic", "outage_empirical"]
-    return {"outage": (cols, rows)}
+    points = [(tuple(c), d) for c in p["configs"] for d in p["delta"]]
+    return points, work, ["nt", "nr", "threshold", "receiver", "delta",
+                          "outage_analytic", "outage_empirical"]
 
 
-def _run_rates(params: dict) -> dict:
-    snrs = _grid(params["snr_db_min"], params["snr_db_max"], params["snr_db_step"])
-    deltas = params["delta"]
-    receivers = _receivers(params["receiver"])
-    trials, seed = params["trials"], params["seed"]
-    fixed_tp = params["tp"]
-
-    # Point order: snr-major, then delta, then receiver.
-    points = list(enumerate(
-        (s, d, r) for s in snrs for d in deltas for r in receivers))
+def _rates(p: dict):
+    """Point order: snr-major, then delta, then receiver."""
+    fixed_tp = p["tp"]
     # The ceiling does not depend on rho: one evaluation per distinct
     # (receiver, delta, tp) serves every SNR.
     ceilings: dict = {}
@@ -327,11 +309,11 @@ def _run_rates(params: dict) -> dict:
                 ceilings[key] = rate_ceiling(receiver, cfg)
             return ceilings[key]
 
-    def work(point):
-        i, (snr_db, delta, receiver) = point
+    def work(i, point):
+        snr_db, delta, receiver = point
         base = SystemConfig(
-            nt=params["nt"], nr=params["nr"], t=params["t"],
-            tp=fixed_tp if fixed_tp is not None else params["nt"],
+            nt=p["nt"], nr=p["nr"], t=p["t"],
+            tp=fixed_tp if fixed_tp is not None else p["nt"],
             rho=db_to_linear(snr_db), delta=delta,
         )
         if fixed_tp is None:
@@ -340,100 +322,120 @@ def _run_rates(params: dict) -> dict:
         else:
             tp_star, analytic = fixed_tp, rate_closed_form(receiver, base)
         cfg = base.with_tp(tp_star)
-        emp = empirical_rate(cfg, receiver, trials, _point_stream(seed, i))
+        emp = empirical_rate(cfg, receiver, p["trials"],
+                             _point_stream(p["seed"], i))
         ceil = None if delta == 0.0 else ceiling(receiver, cfg)
-        return [snr_db, str(receiver), delta, analytic, emp, ceil, tp_star]
+        return [[snr_db, str(receiver), delta, analytic, emp, ceil, tp_star]]
 
-    rows = _pmap(work, points)
-    cols = ["snr_dB", "receiver", "delta", "rate_analytic", "rate_empirical",
-            "rate_ceiling", "tp_star"]
-    return {"rates": (cols, rows)}
+    receivers = _receivers(p["receiver"])
+    points = [(s, d, r) for s in _grid(p, "snr_db") for d in p["delta"]
+              for r in receivers]
+    return points, work, ["snr_dB", "receiver", "delta", "rate_analytic",
+                          "rate_empirical", "rate_ceiling", "tp_star"]
 
 
-def _run_opt_tp(params: dict) -> dict:
-    snrs = _grid(params["snr_db_min"], params["snr_db_max"], params["snr_db_step"])
-    deltas = params["delta"]
-    receivers = _receivers(params["receiver"])
+def _opt_tp(p: dict):
+    """Point order: snr-major, then delta, then receiver."""
 
-    points = [(s, d, r) for s in snrs for d in deltas for r in receivers]
-
-    def work(point):
+    def work(i, point):
         snr_db, delta, receiver = point
-        cfg = SystemConfig(
-            nt=params["nt"], nr=params["nr"], t=params["t"], tp=params["nt"],
-            rho=db_to_linear(snr_db), delta=delta,
-        )
-        res = optimize_tp_exact(cfg, receiver)
-        return [snr_db, str(receiver), delta, res.tp_star]
+        cfg = SystemConfig(nt=p["nt"], nr=p["nr"], t=p["t"], tp=p["nt"],
+                           rho=db_to_linear(snr_db), delta=delta)
+        return [[snr_db, str(receiver), delta,
+                 optimize_tp_exact(cfg, receiver).tp_star]]
 
-    rows = _pmap(work, points)
-    return {"opt_tp": (["snr_dB", "receiver", "delta", "tp_star"], rows)}
-
-
-def _run_asymptotic(params: dict) -> dict:
-    mode = params["mode"]
-    snrs = _grid(params["snr_db_min"], params["snr_db_max"], params["snr_db_step"])
-    deltas = params["delta"]
-    receivers = _receivers(params["receiver"])
-    seed = params["seed"]
-    out: dict = {}
-
-    if mode in ("both", "convergence"):
-        configs = [tuple(c) for c in params["configs"]]
-        trials = params["trials"]
-        # Point order: config-major, then delta, then snr; receivers share
-        # each point's channel draws.
-        points = list(enumerate(
-            (c, d, s) for c in configs for d in deltas for s in snrs))
-
-        def work_conv(point):
-            i, ((nt, nr), delta, snr_db) = point
-            tp = params.get("tp") if params.get("tp") is not None else nt
-            cfg = SystemConfig(nt=nt, nr=nr, t=params["t"], tp=tp,
-                               rho=db_to_linear(snr_db), delta=delta)
-            samples = sample_sinr_multi(
-                cfg, receivers, trials, _point_stream(seed, i))
-            rows = []
-            for receiver in receivers:
-                det = det_rate(receiver, cfg)
-                s = samples[receiver].samples
-                emp = (cfg.td / cfg.t) * cfg.nt * float(np.mean(np.log2(1.0 + s)))
-                rows.append([nt, nr, snr_db, str(receiver), delta, det, emp,
-                             abs(det - emp) / emp])
-            return rows
-
-        rows = [r for chunk in _pmap(work_conv, points) for r in chunk]
-        out["asymptotic_convergence"] = (
-            ["nt", "nr", "snr_dB", "receiver", "delta", "rate_det",
-             "rate_empirical", "rel_deviation"], rows)
-
-    if mode in ("both", "tp"):
-        configs = [tuple(c) for c in params.get("tp_configs") or params["configs"]]
-        points = [(c, d, s, r) for c in configs for d in deltas
-                  for s in snrs for r in receivers]
-
-        def work_tp(point):
-            (nt, nr), delta, snr_db, receiver = point
-            cfg = SystemConfig(nt=nt, nr=nr, t=params["t"], tp=nt,
-                               rho=db_to_linear(snr_db), delta=delta)
-            res = optimize_tp_asymptotic(cfg, receiver)
-            return [nt, nr, snr_db, str(receiver), delta, res.tp_star]
-
-        rows = _pmap(work_tp, points)
-        out["asymptotic_tp"] = (
-            ["nt", "nr", "snr_dB", "receiver", "delta", "tp_star_asymptotic"],
-            rows)
-
-    return out
+    receivers = _receivers(p["receiver"])
+    points = [(s, d, r) for s in _grid(p, "snr_db") for d in p["delta"]
+              for r in receivers]
+    return points, work, ["snr_dB", "receiver", "delta", "tp_star"]
 
 
-_RUNNERS = {
-    "nmse": _run_nmse,
-    "outage": _run_outage,
-    "rates": _run_rates,
-    "opt-tp": _run_opt_tp,
-    "asymptotic": _run_asymptotic,
+def _convergence(p: dict):
+    """Point order: config-major, then delta, then snr; receivers share
+    each point's channel draws."""
+    if p["mode"] == "tp":
+        return None
+    receivers = _receivers(p["receiver"])
+
+    def work(i, point):
+        (nt, nr), delta, snr_db = point
+        tp = p["tp"] if p["tp"] is not None else nt
+        cfg = SystemConfig(nt=nt, nr=nr, t=p["t"], tp=tp,
+                           rho=db_to_linear(snr_db), delta=delta)
+        samples = sample_sinr_multi(cfg, receivers, p["trials"],
+                                    _point_stream(p["seed"], i))
+        rows = []
+        for receiver in receivers:
+            det = det_rate(receiver, cfg)
+            s = samples[receiver].samples
+            emp = (cfg.td / cfg.t) * cfg.nt * float(np.mean(np.log2(1.0 + s)))
+            rows.append([nt, nr, snr_db, str(receiver), delta, det, emp,
+                         abs(det - emp) / emp])
+        return rows
+
+    snrs = _grid(p, "snr_db")
+    points = [(tuple(c), d, s) for c in p["configs"] for d in p["delta"]
+              for s in snrs]
+    return points, work, ["nt", "nr", "snr_dB", "receiver", "delta",
+                          "rate_det", "rate_empirical", "rel_deviation"]
+
+
+def _asymptotic_tp(p: dict):
+    """Point order: config-major, then delta, then snr, then receiver."""
+    if p["mode"] == "convergence":
+        return None
+
+    def work(i, point):
+        (nt, nr), delta, snr_db, receiver = point
+        cfg = SystemConfig(nt=nt, nr=nr, t=p["t"], tp=nt,
+                           rho=db_to_linear(snr_db), delta=delta)
+        return [[nt, nr, snr_db, str(receiver), delta,
+                 optimize_tp_asymptotic(cfg, receiver).tp_star]]
+
+    snrs, receivers = _grid(p, "snr_db"), _receivers(p["receiver"])
+    points = [(tuple(c), d, s, r) for c in p["configs"] for d in p["delta"]
+              for s in snrs for r in receivers]
+    return points, work, ["nt", "nr", "snr_dB", "receiver", "delta",
+                          "tp_star_asymptotic"]
+
+
+# subcommand -> {file stem: table declaration}
+_SWEEPS = {
+    "nmse": {"nmse": _nmse},
+    "outage": {"outage": _outage},
+    "rates": {"rates": _rates},
+    "opt-tp": {"opt_tp": _opt_tp},
+    "asymptotic": {"asymptotic_convergence": _convergence,
+                   "asymptotic_tp": _asymptotic_tp},
 }
+
+
+def _sweep(points: list, work) -> list:
+    """Rows of ``work(i, point)`` over the enumerated points, concatenated
+    in point order.  Points run on a small thread pool; the order of the
+    results never depends on it."""
+    items = list(enumerate(points))
+    if len(items) <= 1:
+        chunks = [work(i, point) for i, point in items]
+    else:
+        workers = max(1, min(8, os.cpu_count() or 1, len(items)))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(lambda item: work(*item), items))
+    return [row for chunk in chunks for row in chunk]
+
+
+def _tables(subcommand: str, params: dict) -> dict:
+    """``{file_stem: (columns, rows)}`` of every table the params select."""
+    tables = {}
+    for stem, declare in _SWEEPS[subcommand].items():
+        sweep = declare(params)
+        if sweep is not None:
+            points, work, columns = sweep
+            tables[stem] = (columns, _sweep(points, work))
+    return tables
+
+
+_RUNNERS = {name: functools.partial(_tables, name) for name in _SWEEPS}
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +464,8 @@ def _shared_options(fn):
         click.option("--out", type=click.Path(file_okay=False), default=None,
                      help="Output directory (default: current directory)."),
         click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None,
-                     help="Reference-figure parameter set; flags override it."),
+                     help="Reference-figure parameter set (default: the "
+                          "subcommand's own); flags override it."),
         click.option("--emit-plot-script", is_flag=True, default=False,
                      help="Also write a matplotlib script that renders the CSV."),
     ]
@@ -471,16 +474,21 @@ def _shared_options(fn):
     return fn
 
 
-def _resolve(subcommand: str, defaults: dict, preset: str | None,
-             cli: dict) -> dict:
-    """Layer parameters: subcommand defaults < preset < explicit flags."""
-    params = dict(defaults)
+# The preset each subcommand starts from, before --preset and explicit flags.
+_DEFAULT_PRESET = {"nmse": "fig1", "outage": "fig2", "rates": "fig3",
+                   "opt-tp": "fig4", "asymptotic": "fig5"}
+
+
+def _resolve(subcommand: str, preset: str | None, cli: dict) -> dict:
+    """Layer parameters: default preset < ``--preset`` < explicit flags."""
+    params = dict(PRESETS[_DEFAULT_PRESET[subcommand]]["params"])
     if preset is not None:
         pre = PRESETS[preset]
         if pre["subcommand"] != subcommand:
             raise click.UsageError(
                 f"preset {preset!r} belongs to subcommand {pre['subcommand']!r}")
         params.update(pre["params"])
+    configs = cli.pop("configs", ())
     multi_config = "configs" in params
     for key, value in cli.items():
         if value is None:
@@ -489,18 +497,17 @@ def _resolve(subcommand: str, defaults: dict, preset: str | None,
             if len(value) > 0:
                 params["delta"] = [float(v) for v in value]
         elif key in ("nt", "nr") and multi_config:
-            # An explicit antenna flag collapses a multi-config default to
+            # An explicit antenna flag collapses a multi-config preset to
             # the single requested configuration.
             first = params["configs"][0]
             nt = cli.get("nt") if cli.get("nt") is not None else first[0]
             nr = cli.get("nr") if cli.get("nr") is not None else first[1]
             params["configs"] = [[nt, nr]]
-            params["tp_configs"] = [[nt, nr]] if "tp_configs" in params else None
         else:
             params[key] = value
+    if configs:
+        params["configs"] = _parse_configs(configs)
     params.setdefault("format", "csv")
-    if params["format"] is None:
-        params["format"] = "csv"
     return params
 
 
@@ -562,11 +569,11 @@ def _parse_configs(values) -> list[list[int]]:
     return out
 
 
-def _execute(subcommand: str, defaults: dict, preset, out, emit_plot_script,
-             cli: dict) -> None:
+def _execute(subcommand: str, cli: dict) -> None:
     t0 = time.time()
-    params = _resolve(subcommand, defaults, preset, cli)
-    out_dir = Path(out) if out else Path(".")
+    out_dir = Path(cli.pop("out") or ".")
+    emit_plot_script = cli.pop("emit_plot_script")
+    params = _resolve(subcommand, cli.pop("preset"), cli)
     try:
         tables = _RUNNERS[subcommand](params)
     except ValueError as exc:
@@ -605,10 +612,9 @@ def main() -> None:
 
 @main.command()
 @_shared_options
-def nmse(preset, out, emit_plot_script, **cli) -> None:
+def nmse(**cli) -> None:
     """Channel-estimation NMSE vs SNR: analytic curve, floor, empirical."""
-    _execute("nmse", dict(PRESETS["fig1"]["params"]), preset, out,
-             emit_plot_script, cli)
+    _execute("nmse", cli)
 
 
 @main.command()
@@ -620,29 +626,24 @@ def nmse(preset, out, emit_plot_script, **cli) -> None:
 @click.option("--threshold-db-step", type=float, default=None)
 @click.option("--config", "configs", multiple=True,
               help="Antenna configuration NTxNR (repeatable), e.g. 5x30.")
-def outage(preset, out, emit_plot_script, configs, **cli) -> None:
+def outage(**cli) -> None:
     """SINR outage probability vs threshold, analytic vs empirical."""
-    if configs:
-        cli["configs"] = _parse_configs(configs)
-    _execute("outage", dict(PRESETS["fig2"]["params"]), preset, out,
-             emit_plot_script, cli)
+    _execute("outage", cli)
 
 
 @main.command()
 @_shared_options
-def rates(preset, out, emit_plot_script, **cli) -> None:
+def rates(**cli) -> None:
     """Ergodic achievable rates vs SNR; the training length is optimized
     per point unless --tp pins it."""
-    _execute("rates", dict(PRESETS["fig3"]["params"]), preset, out,
-             emit_plot_script, cli)
+    _execute("rates", cli)
 
 
 @main.command("opt-tp")
 @_shared_options
-def opt_tp(preset, out, emit_plot_script, **cli) -> None:
+def opt_tp(**cli) -> None:
     """Optimal training length vs SNR from the exact rate objective."""
-    _execute("opt-tp", dict(PRESETS["fig4"]["params"]), preset, out,
-             emit_plot_script, cli)
+    _execute("opt-tp", cli)
 
 
 @main.command()
@@ -651,23 +652,10 @@ def opt_tp(preset, out, emit_plot_script, **cli) -> None:
               default=None, help="Which asymptotic tables to produce.")
 @click.option("--config", "configs", multiple=True,
               help="Antenna configuration NTxNR (repeatable).")
-def asymptotic(preset, out, emit_plot_script, configs, **cli) -> None:
+def asymptotic(**cli) -> None:
     """Deterministic-equivalent rates vs simulation, plus asymptotic
     training-length tables."""
-    defaults = {
-        "mode": "both",
-        "configs": [[8, 16], [16, 32], [32, 64]],
-        "tp_configs": [[8, 16], [8, 256]],
-        "t": 500, "tp": None,
-        "delta": [0.0, 0.1],
-        "snr_db_min": -10.0, "snr_db_max": 30.0, "snr_db_step": 5.0,
-        "trials": 100_000, "seed": 12345, "receiver": "all",
-    }
-    if configs:
-        parsed = _parse_configs(configs)
-        cli["configs"] = parsed
-        cli["tp_configs"] = parsed
-    _execute("asymptotic", defaults, preset, out, emit_plot_script, cli)
+    _execute("asymptotic", cli)
 
 
 @main.command()

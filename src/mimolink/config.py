@@ -143,8 +143,6 @@ class DerivedParams:
             expression; strictly decreasing in SNR.
         c0_bar: high-SNR limit of ``c0`` (finite only because of the
             impairments; 0 for ideal hardware).
-        epsilon_bar: estimation quality factor in the large-system
-            normalization (identical formula to ``epsilon``).
         c1: large-system counterpart of ``c0`` (equals ``c0 / nt``).
         beta: receive-to-transmit antenna ratio ``nr / nt``.
         d: auxiliary scalar of the large-system MMSE fixed point,
@@ -159,7 +157,6 @@ class DerivedParams:
     sigma2_est: float
     c0: float
     c0_bar: float
-    epsilon_bar: float
     c1: float
     beta: float
     d: float
@@ -198,10 +195,7 @@ def derive_params_at(cfg: SystemConfig, tp: int | np.ndarray) -> DerivedParams:
     c0 = nt * (rho + rho * d2 + 1.0 + epsilon) / (rho * epsilon)
     c0_bar = d2 * (1.0 + d2) * nt * nt / tp
 
-    # Large-system scalars use the same estimation-quality formula; keeping
-    # a distinct field mirrors the two normalizations in the analysis.
-    epsilon_bar = epsilon
-    c1 = (rho + rho * d2 + 1.0 + epsilon_bar) / (rho * epsilon_bar)
+    c1 = (rho + rho * d2 + 1.0 + epsilon) / (rho * epsilon)
     beta = cfg.nr / nt
     d = c1 / (1.0 + d2) + 1.0 - beta
 
@@ -211,7 +205,6 @@ def derive_params_at(cfg: SystemConfig, tp: int | np.ndarray) -> DerivedParams:
         sigma2_est=sigma2_est,
         c0=c0,
         c0_bar=c0_bar,
-        epsilon_bar=epsilon_bar,
         c1=c1,
         beta=beta,
         d=d,

@@ -68,7 +68,7 @@ class AsymptoticParams:
     ) -> "AsymptoticParams":
         """Parameters of ``cfg``, at training length(s) ``tp`` if given."""
         dp = derive_params_at(cfg, cfg.tp if tp is None else tp)
-        return cls(beta=dp.beta, c1=dp.c1, epsilon_bar=dp.epsilon_bar, d=dp.d)
+        return cls(beta=dp.beta, c1=dp.c1, epsilon_bar=dp.epsilon, d=dp.d)
 
 
 def _mmse_m(ap: AsymptoticParams, delta: float) -> float | np.ndarray:

@@ -208,44 +208,39 @@ def _gram_sinr(
     raise ValueError(f"unknown receiver: {receiver!r}")
 
 
+def _batches(trials: int, rs: RandomStream):
+    """Yield ``(n, generator)`` over the fixed batch partition of ``trials``:
+    batch ``j`` holds ``min(BATCH_TRIALS, trials - j*BATCH_TRIALS)`` trials
+    and draws from the stream ``rs.shifted(j)``."""
+    for j, done in enumerate(range(0, trials, BATCH_TRIALS)):
+        yield min(BATCH_TRIALS, trials - done), rs.shifted(j).generator()
+
+
 def _estimate_batches(cfg: SystemConfig, trials: int, rs: RandomStream):
     """Yield batched channel estimates ``(H, Hhat)`` over the fixed batch
     partition of ``trials``; the workhorse behind all empirical reducers."""
     sp = gen_pilot_matrix(cfg.nt, cfg.tp)
     amp = math.sqrt(cfg.rho / cfg.nt)
-    done = 0
-    batch = 0
-    while done < trials:
-        n = min(BATCH_TRIALS, trials - done)
-        g = rs.shifted(batch).generator()
+    for n, g in _batches(trials, rs):
         for m in _chunk_sizes(cfg, n):
             h, dp_, vp = _training_draws(cfg, g, m)
             yp = amp * (h @ (sp + dp_)) + vp
             yield h, lmmse_estimate(yp, sp, cfg)
-        done += n
-        batch += 1
 
 
-def sample_sinr_multi(
-    cfg: SystemConfig, receivers: tuple[Receiver, ...], trials: int, rs: RandomStream
+def _sample_sets(
+    cfg: SystemConfig, receivers, trials: int, rs: RandomStream, grams
 ) -> dict[Receiver, SinrSampleSet]:
-    """SINR samples for several receivers over the *same* channel draws.
-
-    One simulation pass (training, estimation, Gram matrix), then each
-    receiver's SINR map applied to the shared Gram batch, so sample k of one
-    receiver and sample k of another describe the same channel realization
-    and stream.  See :class:`SinrSampleSet` for the sample layout.
-    """
+    """Each receiver's SINR map over the Gram batches ``grams`` yields, as
+    one :class:`SinrSampleSet` per distinct receiver.  ``grams`` is a
+    generator, so it draws nothing until the arguments have been checked."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     receivers = tuple(dict.fromkeys(receivers))
     _require_zf_ok(cfg.nt, cfg.nr, *receivers)
     dpar = derive_params(cfg)
-    sigma_est = math.sqrt(dpar.sigma2_est)
     parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
-    for _, hhat in _estimate_batches(cfg, trials, rs):
-        hbar = hhat / sigma_est
-        gram = hbar.conj().swapaxes(-1, -2) @ hbar
+    for gram in grams:
         for r in receivers:
             parts[r].append(_gram_sinr(gram, r, dpar, cfg.delta).ravel())
     return {
@@ -258,6 +253,26 @@ def sample_sinr_multi(
         )
         for r in receivers
     }
+
+
+def sample_sinr_multi(
+    cfg: SystemConfig, receivers: tuple[Receiver, ...], trials: int, rs: RandomStream
+) -> dict[Receiver, SinrSampleSet]:
+    """SINR samples for several receivers over the *same* channel draws.
+
+    One simulation pass (training, estimation, Gram matrix), then each
+    receiver's SINR map applied to the shared Gram batch, so sample k of one
+    receiver and sample k of another describe the same channel realization
+    and stream.  See :class:`SinrSampleSet` for the sample layout.
+    """
+
+    def grams():
+        sigma_est = math.sqrt(derive_params(cfg).sigma2_est)
+        for _, hhat in _estimate_batches(cfg, trials, rs):
+            hbar = hhat / sigma_est
+            yield hbar.conj().swapaxes(-1, -2) @ hbar
+
+    return _sample_sets(cfg, receivers, trials, rs, grams())
 
 
 def sample_sinr(
@@ -288,33 +303,13 @@ def sample_sinr_model(
     for distribution-level comparisons.  Stream/batch layout and the
     sample ordering match :func:`sample_sinr_multi`.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    receivers = tuple(dict.fromkeys(receivers))
-    _require_zf_ok(cfg.nt, cfg.nr, *receivers)
-    dpar = derive_params(cfg)
-    parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
-    done = 0
-    batch_index = 0
-    while done < trials:
-        n = min(BATCH_TRIALS, trials - done)
-        g = rs.shifted(batch_index).generator()
-        hbar = _cn(g, (n, cfg.nr, cfg.nt))
-        gram = np.einsum("bij,bik->bjk", hbar.conj(), hbar)
-        for r in receivers:
-            parts[r].append(_gram_sinr(gram, r, dpar, cfg.delta))
-        done += n
-        batch_index += 1
-    return {
-        r: SinrSampleSet(
-            receiver=r,
-            samples=np.concatenate([p.ravel() for p in parts[r]]),
-            cfg=cfg,
-            trials=trials,
-            seed=rs.seed,
-        )
-        for r in receivers
-    }
+
+    def grams():
+        for n, g in _batches(trials, rs):
+            hbar = _cn(g, (n, cfg.nr, cfg.nt))
+            yield np.einsum("bij,bik->bjk", hbar.conj(), hbar)
+
+    return _sample_sets(cfg, receivers, trials, rs, grams())
 
 
 def empirical_nmse(cfg: SystemConfig, trials: int, rs: RandomStream) -> float:

@@ -1,10 +1,10 @@
 """Special functions and series coefficients for the closed-form rate family.
 
-Three function families are needed by the analytical rate expressions: the
-generalized exponential integral ``E_n``, the upper incomplete gamma
-function, and Tricomi's confluent hypergeometric function of the second kind
-``U(a, b; z)`` (sometimes called the regularized hypergeometric function in
-the receiver literature; both names refer to the same object here).
+Two function families are needed by the closed-form rate expressions: the
+generalized exponential integral ``E_n`` and Tricomi's confluent
+hypergeometric function of the second kind ``U(a, b; z)`` (sometimes called
+the regularized hypergeometric function in the receiver literature; both
+names refer to the same object here).
 
 The rate formulas instantiate these at arguments that overflow or underflow
 double precision when evaluated naively -- ``E_n`` at ``z ~ 1e7`` multiplied
@@ -19,9 +19,9 @@ log-magnitude form internally:
   Laplace integral representation;
 * coefficient tables store natural-log magnitudes.
 
-The plain-valued wrappers (``exp_integral_en``, ``tricomi_u``) exponentiate
-at the boundary and therefore under/overflow gracefully outside the double
-range, which is documented rather than fought.
+The plain-valued wrapper ``tricomi_u`` exponentiates at the boundary and
+therefore under/overflows gracefully outside the double range, which is
+documented rather than fought.
 """
 
 from __future__ import annotations
@@ -36,9 +36,7 @@ from .config import AccuracyError
 from .quadrature import integrate_family
 
 __all__ = [
-    "exp_integral_en",
     "exp_integral_en_scaled",
-    "upper_incomplete_gamma",
     "tricomi_u",
     "log_tricomi_u",
     "log_tricomi_u_family",
@@ -140,48 +138,6 @@ def exp_integral_en_scaled(n: int, z: float) -> float:
     if z <= _SERIES_CUTOFF:
         return _theta_series(int(n), float(z))
     return _theta_cf(int(n), float(z))
-
-
-def exp_integral_en(n: int, z: float) -> float:
-    """Generalized exponential integral ``E_n(z) = int_1^inf e^{-zt} t^{-n} dt``.
-
-    Relative error <= ~1e-13 over the double range.  Underflows to 0 for
-    z >~ 745 (E_n itself leaves the double range there); use
-    :func:`exp_integral_en_scaled` in that regime.
-
-    Args:
-        n: order, integer >= 1.
-        z: argument, > 0.
-    """
-    theta = exp_integral_en_scaled(n, z)
-    if z > 745.0:
-        return 0.0
-    return math.exp(-z) * theta
-
-
-def upper_incomplete_gamma(n: int, z: float) -> float:
-    """Upper incomplete gamma ``Gamma(n, z)`` for integer ``n >= 1``.
-
-    Uses the finite-sum identity
-    ``Gamma(n, z) = (n-1)! e^{-z} sum_{m<n} z^m / m!`` evaluated in log
-    space, exact to rounding and overflow-safe in the exponent.
-
-    Args:
-        n: integer >= 1.
-        z: argument, >= 0.
-    """
-    if n < 1:
-        raise ValueError(f"order must be an integer >= 1, got n={n}")
-    if z < 0:
-        raise ValueError(f"argument must be >= 0, got z={z}")
-    log_gamma_n = math.lgamma(n)
-    if z == 0.0:
-        return math.exp(log_gamma_n)
-    m = np.arange(n)
-    log_terms = m * math.log(z) - _log_factorial(m)
-    peak = log_terms.max()
-    log_sum = peak + math.log(np.exp(log_terms - peak).sum())
-    return float(np.exp(log_gamma_n - z + log_sum))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from mimolink import (
     derive_params,
 )
 from mimolink.analytic import (
-    RateCurve,
     _rate_quadrature_c0,
     outage,
     rate_ceiling,
@@ -363,38 +362,3 @@ class TestRateCeiling:
             cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=delta)
             with pytest.raises(ValueError, match="no rate ceiling"):
                 rate_ceiling(Receiver.ZF, cfg)
-
-
-class TestRateCurve:
-    def test_valid_curve(self):
-        cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0)
-        c = RateCurve(
-            axis="snr-dB",
-            points=((0.0, 1.0), (5.0, 2.0)),
-            provenance="analytic",
-            receiver=Receiver.ZF,
-            cfg=cfg,
-        )
-        assert c.points[1] == (5.0, 2.0)
-
-    def test_rejects_unsorted_x(self):
-        cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            RateCurve(
-                axis="snr-dB",
-                points=((5.0, 1.0), (5.0, 2.0)),
-                provenance="analytic",
-                receiver=Receiver.ZF,
-                cfg=cfg,
-            )
-
-    def test_rejects_negative_rates(self):
-        cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0)
-        with pytest.raises(ValueError, match="nonnegative"):
-            RateCurve(
-                axis="tp",
-                points=((4.0, -0.1),),
-                provenance="simulated",
-                receiver=Receiver.MRC,
-                cfg=cfg,
-            )

@@ -235,14 +235,42 @@ class TestReproducibilityAndVerify:
 class TestGoldenDigests:
     """SHA-256 of output files: fig6 as written before the asymptotic scan
     was vectorized, the rates run as written since the rate quadrature took
-    12 seed knots and log-factorials from ``math.lgamma``.  A change that
-    alters a data byte must update these on purpose; a rerun of one build
-    cannot catch that.  The rates digest covers Monte Carlo cells, so it
-    also pins this platform's numpy and BLAS rounding."""
+    12 seed knots and log-factorials from ``math.lgamma``, and one
+    down-scaled run of every subcommand as written before the CLI's sweeps
+    shared one runner.  A change that alters a data byte must update these
+    on purpose; a rerun of one build cannot catch that.  The digests cover
+    Monte Carlo cells, so they also pin this platform's numpy and BLAS
+    rounding."""
 
     @staticmethod
     def _digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("args, digests", [
+        (["nmse", "--preset", "fig1", "--trials", "64"],
+         {"nmse.csv": "9233a6ff8305d2453ce420925d5c5a71bd9b4e4c44361b2426b2649e8846c808"}),
+        (["outage", "--preset", "fig2", "--trials", "256",
+          "--threshold-db-step", "5"],
+         {"outage.csv": "c3964d7ac1456d8bc279bd283f660c0bd1da58fe59fdf2fda7ff90ed13a31f19"}),
+        (["rates", "--preset", "fig3", "--trials", "64", "--snr-db-step", "10"],
+         {"rates.csv": "e774ffc34030d8cc60c97eb12ff321e57b8da8d1ef4ca856d037c767e0cd7dab"}),
+        (["opt-tp", "--preset", "fig4"],
+         {"opt_tp.csv": "4d181bac316ac3e31d4f09b417ef5f098cabd04b282288a14fadc920dbfb5803"}),
+        (["asymptotic", "--preset", "fig5", "--trials", "64"],
+         {"asymptotic_convergence.csv":
+          "396d15a418fb24a5c2bdb865d2cfebe8912fa71d97329fa7d5610973ce19e1cf"}),
+        (["asymptotic", "--mode", "both", "--config", "4x16", "--t", "100",
+          "--trials", "64", "--snr-db-step", "20"],
+         {"asymptotic_convergence.csv":
+          "de81955eb979c1790f1f9a1473fcbd77b40ee91d44d3f758a07e302a913905a8",
+          "asymptotic_tp.csv":
+          "4c89182f8c56f0db993769220cb94f70873ee26a8aa7f7ba52ea3b5ad27a57c9"}),
+    ], ids=["nmse", "outage", "rates", "opt-tp", "fig5", "both"])
+    def test_subcommand(self, tmp_path, args, digests):
+        res = _run([*args, "--seed", "777", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        written = {p.name: self._digest(p) for p in tmp_path.glob("*.csv")}
+        assert written == digests
 
     def test_asymptotic_fig6(self, tmp_path):
         res = _run(["asymptotic", "--preset", "fig6", "--out", str(tmp_path)])
@@ -289,6 +317,20 @@ class TestPresets:
         # digits, so compare as parsed floats)
         assert {float(r[1]) for r in rows} == {0.0, 0.05, 0.1, 0.15}
 
+    def test_asymptotic_defaults_to_fig5(self, tmp_path):
+        # Without --preset, asymptotic starts from fig5: convergence only.
+        res = _run([
+            "asymptotic", "--config", "2x8", "--t", "40", "--snr-db-step", "40",
+            "--trials", "64", "--out", str(tmp_path),
+        ])
+        assert res.exit_code == 0, res.output
+        assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+            "asymptotic_convergence.csv"]
+        manifest = json.loads((tmp_path / "asymptotic.manifest.json").read_text())
+        fig5 = cli.PRESETS["fig5"]["params"]
+        assert manifest["params"]["mode"] == fig5["mode"]
+        assert manifest["params"]["delta"] == fig5["delta"]
+
     def test_preset_subcommand_mismatch(self, tmp_path):
         res = _run(["nmse", "--preset", "fig2", "--out", str(tmp_path)])
         assert res.exit_code == 2
@@ -324,6 +366,37 @@ class TestErrorPaths:
             "--receiver", "zf", "--out", str(tmp_path),
         ])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["nmse", "--snr-db-max", "inf"],
+        ["outage", "--threshold-db-max", "inf"],
+        ["nmse", "--snr-db-min", "nan"],
+        ["rates", "--snr-db-step", "inf"],
+        ["asymptotic", "--snr-db-step", "nan"],
+    ], ids=["max-inf", "threshold-inf", "min-nan", "step-inf", "step-nan"])
+    def test_non_finite_grid_is_usage_error(self, tmp_path, args):
+        res = _run([*args, "--trials", "64", "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "must be finite" in res.output
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["nmse", "--snr-db-step", "1e-300"],
+        ["opt-tp", "--snr-db-min", "-1e308", "--snr-db-max", "1e308"],
+        ["outage", "--threshold-db-step", "4.9e-5"],
+    ], ids=["tiny-step", "overflowing-span", "just-over"])
+    def test_oversized_grid_is_usage_error(self, tmp_path, args):
+        # Refused before a point is built: the grids would take ~7e301
+        # points, an overflow to inf, and 1 020 409 points.
+        res = _run([*args, "--trials", "64", "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "points, more than 1000000" in res.output
+        assert not list(tmp_path.iterdir())
+
+    def test_grid_at_the_cap_is_built(self):
+        grid = cli._grid({"x_min": 0.0, "x_max": 1.0, "x_step": 1.0 / 999_999}, "x")
+        assert len(grid) == cli._MAX_GRID_POINTS
+        assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_accuracy_error_maps_to_exit_3(self, tmp_path, monkeypatch):
         def boom(params):

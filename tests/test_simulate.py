@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo link simulator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -136,6 +137,23 @@ class TestReproducibility:
         )
         single = sample_sinr(cfg, Receiver.ZF, 2000, RandomStream(77))
         np.testing.assert_array_equal(multi[Receiver.ZF].samples, single.samples)
+
+    @pytest.mark.parametrize("sampler, digest", [
+        (sample_sinr_model,
+         "0a20e7644159d5b376f37672a15d71ba2e2450b4159bb936664861ea427fb66b"),
+        (sample_sinr_multi,
+         "ce32343b0e2e6bc076e3e51aeed119d96506fb9dcf32bc752ec2c9196e5ec47e"),
+    ])
+    def test_golden_samples_across_two_batches(self, sampler, digest):
+        # SHA-256 of the ZF, MRC and MMSE sample bytes; 5000 trials span two
+        # 4096-trial batches.  A change that alters a sample bit must update
+        # these on purpose.
+        cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=db_to_linear(10.0), delta=0.1)
+        sets = sampler(cfg, tuple(Receiver), 5000, RandomStream(2024, 3))
+        h = hashlib.sha256()
+        for r in Receiver:
+            h.update(sets[r].samples.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestNmse:

@@ -16,19 +16,23 @@ from mimolink.special import (
     CoefficientTable,
     _log_factorial,
     build_coefficients,
-    exp_integral_en,
     exp_integral_en_scaled,
     log_tricomi_u,
     log_tricomi_u_family,
     tricomi_u,
-    upper_incomplete_gamma,
 )
+from mimolink.analytic import _poisson_tail
+
+
+def _exp_integral_en(n: int, z: float) -> float:
+    """``E_n(z)`` from the scaled form the library computes."""
+    return exp_integral_en_scaled(n, z) * math.exp(-z)
 
 
 class TestExpIntegral:
     def test_e1_at_one(self):
         # mpmath: expint(1, 1)
-        assert exp_integral_en(1, 1.0) == pytest.approx(
+        assert _exp_integral_en(1, 1.0) == pytest.approx(
             0.21938393439552029, rel=1e-13
         )
 
@@ -55,8 +59,8 @@ class TestExpIntegral:
     def test_recurrence(self):
         # n * E_{n+1}(z) = e^{-z} - z * E_n(z)
         z = 2.0
-        lhs = exp_integral_en(3, z)
-        rhs = (math.exp(-z) - z * exp_integral_en(2, z)) / 2.0
+        lhs = _exp_integral_en(3, z)
+        rhs = (math.exp(-z) - z * _exp_integral_en(2, z)) / 2.0
         assert abs(lhs - rhs) <= 1e-13
 
     def test_sweep_against_scipy(self):
@@ -68,7 +72,7 @@ class TestExpIntegral:
         z = 10.0 ** rng.uniform(-6, 2.5, size=1000)
         for ni, zi in zip(n, z):
             ref = scipy.special.expn(int(ni), float(zi))
-            assert exp_integral_en(int(ni), float(zi)) == pytest.approx(
+            assert _exp_integral_en(int(ni), float(zi)) == pytest.approx(
                 ref, rel=1e-9
             ), (ni, zi)
 
@@ -82,53 +86,47 @@ class TestExpIntegral:
             ref, err = scipy.integrate.quad(
                 lambda t: math.exp(-z * t) * t**-n, 1.0, np.inf, epsabs=0, epsrel=1e-12
             )
-            assert exp_integral_en(n, z) == pytest.approx(ref, rel=1e-9)
+            assert _exp_integral_en(n, z) == pytest.approx(ref, rel=1e-9)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            exp_integral_en(0, 1.0)
+            exp_integral_en_scaled(0, 1.0)
         with pytest.raises(ValueError):
-            exp_integral_en(2, 0.0)
+            exp_integral_en_scaled(2, 0.0)
         with pytest.raises(ValueError):
-            exp_integral_en(2, -1.0)
+            exp_integral_en_scaled(2, -1.0)
+
+
+def _q(a: int, u: float) -> float:
+    """Regularized ``Q(a, u)`` from the rate engine's Poisson-tail rows."""
+    return float(_poisson_tail(a, np.array([u]))[a - 1, 0])
 
 
 class TestUpperIncompleteGamma:
+    """The regularized upper incomplete gamma ``Q(a, u)`` behind every
+    u-space survival (``analytic._poisson_tail``)."""
+
     def test_exponential_case(self):
-        assert upper_incomplete_gamma(1, 3.0) == pytest.approx(
-            math.exp(-3.0), rel=1e-13
-        )
+        assert _q(1, 3.0) == pytest.approx(math.exp(-3.0), rel=1e-13)
 
     def test_complete_case(self):
-        assert upper_incomplete_gamma(5, 0.0) == pytest.approx(24.0, rel=1e-13)
+        np.testing.assert_array_equal(_poisson_tail(5, np.array([0.0])), 1.0)
 
     def test_small_argument(self):
         # Gamma(3, 2) = (z^2 + 2z + 2) e^{-z} at z=2 -> 10 e^{-2}
-        assert upper_incomplete_gamma(3, 2.0) == pytest.approx(
-            1.353352832366127, rel=1e-13
-        )
+        assert _q(3, 2.0) == pytest.approx(1.353352832366127 / 2.0, rel=1e-13)
 
     def test_mid_argument(self):
         # mpmath: gammainc(7, 0.5, inf)
-        assert upper_incomplete_gamma(7, 0.5) == pytest.approx(
-            719.9992782866859, rel=1e-13
-        )
+        assert _q(7, 0.5) == pytest.approx(719.9992782866859 / 720.0, rel=1e-13)
 
     def test_sweep_against_scipy(self):
+        # Every order 1..150 at 300 arguments in one call, as the rate
+        # engine evaluates them.
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            n = int(rng.integers(1, 150))
-            z = float(10.0 ** rng.uniform(-4, 2.2))
-            ref = scipy.special.gammaincc(n, z) * scipy.special.gamma(n)
-            if not np.isfinite(ref):
-                continue
-            assert upper_incomplete_gamma(n, z) == pytest.approx(ref, rel=1e-10)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(0, 1.0)
-        with pytest.raises(ValueError):
-            upper_incomplete_gamma(2, -0.5)
+        u = 10.0 ** rng.uniform(-4, 2.2, size=300)
+        ref = scipy.special.gammaincc(np.arange(1, 151)[:, None], u[None, :])
+        np.testing.assert_allclose(_poisson_tail(150, u), ref, rtol=1e-10)
 
 
 def _u_by_quadrature(a: int, b: int, z: float) -> float:
