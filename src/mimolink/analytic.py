@@ -172,29 +172,36 @@ def _survival_u(
     return np.einsum("mjn,jn->mn", np.exp(log_weights, out=log_weights), tail)
 
 
-def sinr_cdf(receiver: Receiver, cfg: SystemConfig, gamma: float) -> float:
+def sinr_cdf(
+    receiver: Receiver, cfg: SystemConfig, gamma: float | np.ndarray
+) -> float | np.ndarray:
     """Closed-form CDF of the per-stream output SINR at ``gamma``.
 
+    ``gamma`` is a scalar (returns a float) or an array of thresholds
+    (returns an array of their CDFs, each bit-identical to the scalar call).
     For ``delta > 0`` the distribution has an atom-free wall at
     ``1/delta^2``: the CDF is exactly 1 from the wall upward.  The series
     value is clamped to [0, 1] after summation.
     """
-    if gamma < 0:
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(g >= 0):  # NaN fails too
         raise ValueError(f"need gamma >= 0, got {gamma}")
     _require_zf_ok(cfg.nt, cfg.nr, receiver)
     d2 = cfg.delta**2
-    if d2 > 0 and gamma * d2 >= 1.0:
-        return 1.0
-    if gamma == 0.0:
-        return 0.0
+    wall = g * d2 >= 1.0 if d2 > 0 else np.isinf(g)  # at or past 1/delta^2
+    cdf = np.where(wall, 1.0, 0.0)
+    inner = (g > 0.0) & (cdf == 0.0)
     c0 = derive_params(cfg).c0
-    u = np.array([c0 * gamma / (1.0 - d2 * gamma)])
-    s = _survival_u(receiver, cfg.nt, cfg.nr, cfg.delta, np.array([c0]), u)[0, 0]
-    return float(min(1.0, max(0.0, 1.0 - s)))
+    u = c0 * g[inner] / (1.0 - d2 * g[inner])
+    s = _survival_u(receiver, cfg.nt, cfg.nr, cfg.delta, np.array([c0]), u)[0]
+    cdf[inner] = np.clip(1.0 - s, 0.0, 1.0)
+    return float(cdf) if cdf.ndim == 0 else cdf
 
 
-def outage(receiver: Receiver, cfg: SystemConfig, threshold: float) -> float:
-    """Outage probability at an SINR threshold; identical to the CDF."""
+def outage(
+    receiver: Receiver, cfg: SystemConfig, threshold: float | np.ndarray
+) -> float | np.ndarray:
+    """Outage probability at an SINR threshold (or array); identical to the CDF."""
     return sinr_cdf(receiver, cfg, threshold)
 
 
@@ -281,8 +288,7 @@ def _closed_form_terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sign, log-magnitude) pairs of the alternating closed-form rate series.
 
-    Requires ``delta > 0``.  Shared by the finite-SNR rate (physical c0) and
-    the high-SNR ceiling (saturated c0).
+    Requires ``delta > 0``.
     """
     d2 = delta * delta
     z_d = c0 / d2  # argument of the E_{k+1} block
@@ -364,55 +370,37 @@ def _assemble(signs: np.ndarray, logs: np.ndarray) -> tuple[float, float]:
     return total * math.exp(peak), mass / total
 
 
-def _rate_closed_c0(
-    receiver: Receiver, nt: int, nr: int, delta: float, c0: float, prefactor: float
-) -> float:
-    """Closed-form rate with explicit c0; falls back to quadrature when the
-    alternating series cancels past the error budget or one of its special
-    functions fails to converge (as at c0/delta^2 near the double range)."""
-    if delta * delta == 0.0:
-        # The special-function forms contain c0/delta^2 arguments; the
-        # ideal-hardware rate (delta^2 = 0 in doubles) is served by the
-        # (identical) quadrature form.
-        return prefactor * float(_rate_quadrature_c0(receiver, nt, nr, delta, c0)[0])
-    try:
-        signs, logs = _closed_form_terms(receiver, nt, nr, delta, c0)
-        value, cancel = _assemble(signs, logs)
-    except AccuracyError:
-        logs, value, cancel = np.empty(0), math.nan, math.inf
-    if not math.isfinite(value) or cancel > _CANCEL_LIMIT:
-        logger.warning(
-            "closed-form rate series for %s (nt=%d nr=%d delta=%g c0=%g) cancelled "
-            "beyond budget or did not converge (ratio %.3g, peak log-magnitude "
-            "%.3g); using quadrature",
-            receiver,
-            nt,
-            nr,
-            delta,
-            c0,
-            cancel,
-            float(np.max(logs[np.isfinite(logs)], initial=-math.inf)),
-        )
-        return prefactor * float(_rate_quadrature_c0(receiver, nt, nr, delta, c0)[0])
-    return prefactor * value
-
-
 def rate_closed_form(receiver: Receiver, cfg: SystemConfig) -> float:
     """Ergodic achievable rate from the special-function closed forms.
 
     Mathematically identical to :func:`rate_quadrature`; evaluated through
     scaled exponential-integral and Tricomi-U series.  The alternating sums
     are assembled in (sign, log-magnitude) form with a cancellation monitor;
-    past the 1e6-ulp budget the result silently falls back to quadrature
-    (logged with operand magnitudes).  At ``delta = 0`` the rate is served
-    by quadrature directly, since the closed forms are parameterized by the
-    distortion level.
+    past the 1e6-ulp budget, or when a special function of the series fails
+    (it does not converge, or its Tricomi family exceeds the memory budget),
+    the result falls back to quadrature, logged with operand magnitudes.  At
+    ``delta = 0`` the rate is served by quadrature directly, since the
+    closed forms are parameterized by the distortion level.
     """
     _require_zf_ok(cfg.nt, cfg.nr, receiver)
-    dp = derive_params(cfg)
-    return _rate_closed_c0(
-        receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0, _rate_prefactor(cfg, cfg.tp)
-    )
+    nt, nr, delta, c0 = cfg.nt, cfg.nr, cfg.delta, derive_params(cfg).c0
+    prefactor = _rate_prefactor(cfg, cfg.tp)
+    if delta * delta > 0.0:  # the series' arguments include c0/delta^2
+        try:
+            signs, logs = _closed_form_terms(receiver, nt, nr, delta, c0)
+            value, cancel = _assemble(signs, logs)
+        except AccuracyError:
+            logs, value, cancel = np.empty(0), math.nan, math.inf
+        if math.isfinite(value) and cancel <= _CANCEL_LIMIT:
+            return prefactor * value
+        logger.warning(
+            "closed-form rate series for %s (nt=%d nr=%d delta=%g c0=%g) cancelled "
+            "beyond budget or failed (ratio %.3g, peak log-magnitude %.3g); "
+            "using quadrature",
+            receiver, nt, nr, delta, c0, cancel,
+            float(np.max(logs[np.isfinite(logs)], initial=-math.inf)),
+        )
+    return prefactor * float(_rate_quadrature_c0(receiver, nt, nr, delta, c0)[0])
 
 
 def rate_low_snr(receiver: Receiver, cfg: SystemConfig) -> float:
@@ -431,14 +419,13 @@ def rate_ceiling(receiver: Receiver, cfg: SystemConfig) -> float:
     """High-SNR rate ceiling under transmit distortion (bits/channel use).
 
     As rho grows, the effective noise scaling saturates at
-    ``c0_bar = delta^2 (1 + delta^2) nt^2 / tp``; substituting it for c0 in
-    the closed form gives the power-independent ceiling.  Undefined for
+    ``c0_bar = delta^2 (1 + delta^2) nt^2 / tp``; the rate at c0_bar, by the
+    quadrature engine, is the power-independent ceiling.  Undefined for
     ``delta = 0`` (the ideal-hardware rate grows without bound).
     """
     if cfg.delta * cfg.delta == 0.0:
         raise ValueError("no rate ceiling exists for delta = 0 (or delta**2 = 0 in doubles)")
     _require_zf_ok(cfg.nt, cfg.nr, receiver)
-    dp = derive_params(cfg)
-    return _rate_closed_c0(
-        receiver, cfg.nt, cfg.nr, cfg.delta, dp.c0_bar, _rate_prefactor(cfg, cfg.tp)
-    )
+    c0_bar = derive_params(cfg).c0_bar
+    val = _rate_quadrature_c0(receiver, cfg.nt, cfg.nr, cfg.delta, c0_bar)
+    return _rate_prefactor(cfg, cfg.tp) * float(val[0])

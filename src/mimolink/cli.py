@@ -285,9 +285,10 @@ def _outage(p: dict):
                            delta=delta)
         samples = sample_sinr_multi(cfg, receivers, p["trials"],
                                     _point_stream(p["seed"], i))
-        return [[nt, nr, x, str(r), delta, sinr_cdf(r, cfg, x),
-                 empirical_outage(samples[r], x)]
-                for r in receivers for x in thresholds]
+        # One vectorized CDF call per receiver covers every threshold.
+        return [[nt, nr, x, str(r), delta, cdf, empirical_outage(samples[r], x)]
+                for r in receivers
+                for x, cdf in zip(thresholds, sinr_cdf(r, cfg, thresholds).tolist())]
 
     points = [(tuple(c), d) for c in p["configs"] for d in p["delta"]]
     return points, work, ["nt", "nr", "threshold", "receiver", "delta",
@@ -690,7 +691,7 @@ def verify(manifest: str, keep: str | None) -> None:
             fresh = replay(Path(tmp))
 
     run_dir = Path(manifest).parent
-    ok = True
+    ok, mismatch = True, False
     for name, digest in sorted(doc["files"].items()):
         got = fresh.get(name)
         if got is None:
@@ -698,7 +699,7 @@ def verify(manifest: str, keep: str | None) -> None:
             ok = False
         elif got != digest:
             click.echo(f"MISMATCH  {name}")
-            ok = False
+            ok, mismatch = False, True
         else:
             on_disk = run_dir / name
             if on_disk.exists() and (
@@ -708,6 +709,8 @@ def verify(manifest: str, keep: str | None) -> None:
                 ok = False
             else:
                 click.echo(f"OK        {name}")
+    if mismatch and doc.get("version") != __version__:
+        click.echo(f"manifest from mimolink {doc.get('version')}, running {__version__}")
     if not ok:
         sys.exit(1)
     click.echo("verified: all outputs reproduce byte-identically")

@@ -1,19 +1,21 @@
 """Monte Carlo link simulator: the independent oracle for every closed form.
 
 Simulates the full training + data-transmission chain — pilot transmission
-with multiplicative transmit distortion, LMMSE channel estimation, and the
-three linear receivers (ZF / MRC / MMSE) — and reduces the per-stream SINR
-draws to empirical NMSE, outage, and ergodic-rate figures.
+with multiplicative transmit distortion, LMMSE channel estimation (drawn from
+its sufficient statistic, :func:`_estimate_batches`), and the three linear
+receivers (ZF / MRC / MMSE) — and reduces the per-stream SINR draws to
+empirical NMSE, outage, and ergodic-rate figures.
 
 Reproducibility contract
 ------------------------
 All randomness flows through counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Trials are partitioned into fixed batches of 4096;
-batch ``j`` of a run owns the stream ``(seed, stream_id + j)``.  Within a
-batch, draws happen in a fixed order — per internal chunk (a deterministic
-function of the array sizes): channel ``H``, pilot distortion, pilot noise —
-so identical ``(cfg, receiver, trials, seed)`` reproduce bit-identical
-sample sets, independent of how batches would be scheduled across workers.
+batch ``j`` of a run owns the stream ``(seed, stream_id + j)``.  A batch is
+split into equal-order chunks whose size depends only on ``nr`` and ``nt``
+(:func:`_chunk_sizes`), never on ``tp``.  Within a chunk, draws happen in a
+fixed order — channel ``H``, pilot distortion ``E``, pilot noise ``W`` — so
+identical ``(cfg, receiver, trials, seed)`` reproduce bit-identical sample
+sets, independent of how batches would be scheduled across workers.
 Changing the draw order or the batch/chunk partition is a breaking change
 to this contract.
 """
@@ -45,9 +47,8 @@ __all__ = [
 
 BATCH_TRIALS = 4096
 
-# Cap on complex elements per (trials, nr, tp) scratch array; batches whose
-# arrays would exceed it are processed in equal-order sub-chunks so that big
-# antenna/pilot counts don't blow up resident memory.
+# Cap on complex elements per (trials, max(nr, nt), nt) draw array; bigger
+# batches are processed in equal-order sub-chunks to bound resident memory.
 _CHUNK_ELEMENTS = 1 << 24
 
 
@@ -117,20 +118,10 @@ def gen_pilot_matrix(nt: int, tp: int) -> np.ndarray:
     return np.exp((-2j * np.pi / tp) * ((m * n) % tp))
 
 
-def _training_draws(
-    cfg: SystemConfig, g: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw ``n`` trials of (H, pilot distortion, pilot noise), fixed order."""
-    h = _cn(g, (n, cfg.nr, cfg.nt))
-    dp = cfg.delta * _cn(g, (n, cfg.nt, cfg.tp))
-    vp = _cn(g, (n, cfg.nr, cfg.tp))
-    return h, dp, vp
-
-
 def _chunk_sizes(cfg: SystemConfig, n: int) -> list[int]:
-    """Deterministic sub-chunk partition of a batch (memory guard)."""
-    per_trial = max(cfg.nr, cfg.nt) * cfg.tp
-    chunk = min(BATCH_TRIALS, max(1, _CHUNK_ELEMENTS // max(1, per_trial)))
+    """Deterministic sub-chunk partition of a batch (memory guard; tp-free)."""
+    per_trial = max(cfg.nr, cfg.nt) * cfg.nt
+    chunk = min(BATCH_TRIALS, max(1, _CHUNK_ELEMENTS // per_trial))
     return [min(chunk, n - s) for s in range(0, n, chunk)]
 
 
@@ -142,13 +133,14 @@ def simulate_training(
     Returns ``(H, Yp)`` with ``H`` of shape (nr, nt) i.i.d. CN(0,1) and
     ``Yp = sqrt(rho/nt) H (Sp + Dp) + Vp`` of shape (nr, tp), where the
     distortion ``Dp`` is i.i.d. CN(0, delta^2) and ``Vp`` i.i.d. CN(0,1).
+    This is the literal pilot chain that :func:`_estimate_batches` reduces.
     """
     g = rs.generator()
-    h, dp, vp = _training_draws(cfg, g, 1)
+    h = _cn(g, (cfg.nr, cfg.nt))
+    dp = cfg.delta * _cn(g, (cfg.nt, cfg.tp))
+    vp = _cn(g, (cfg.nr, cfg.tp))
     sp = gen_pilot_matrix(cfg.nt, cfg.tp)
-    amp = math.sqrt(cfg.rho / cfg.nt)
-    yp = amp * h[0] @ (sp + dp[0]) + vp[0]
-    return h[0], yp
+    return h, math.sqrt(cfg.rho / cfg.nt) * h @ (sp + dp) + vp
 
 
 def lmmse_estimate(yp: np.ndarray, sp: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -177,17 +169,8 @@ def lmmse_estimate(yp: np.ndarray, sp: np.ndarray, cfg: SystemConfig) -> np.ndar
 def _gram_sinr(
     gram: np.ndarray, receiver: Receiver, dp: DerivedParams, delta: float
 ) -> np.ndarray:
-    """Per-stream SINR from the Gram matrix ``G = Hbar^H Hbar``, batched.
-
-    Args:
-        gram: (n, nt, nt) Hermitian batch.
-        receiver: which linear receiver's SINR map to apply.
-        dp: derived parameters (for c0).
-        delta: impairment level.
-
-    Returns:
-        (n, nt) real array of linear SINRs.
-    """
+    """Per-stream SINRs, shape (n, nt), of ``receiver`` from a batch of Gram
+    matrices ``G = Hbar^H Hbar``, shape (n, nt, nt); ``dp`` supplies c0."""
     d2 = delta * delta
     nt = gram.shape[-1]
     if receiver is Receiver.ZF:
@@ -208,39 +191,65 @@ def _gram_sinr(
     raise ValueError(f"unknown receiver: {receiver!r}")
 
 
-def _batches(trials: int, rs: RandomStream):
-    """Yield ``(n, generator)`` over the fixed batch partition of ``trials``:
-    batch ``j`` holds ``min(BATCH_TRIALS, trials - j*BATCH_TRIALS)`` trials
-    and draws from the stream ``rs.shifted(j)``."""
+def _batches(cfg: SystemConfig, trials: int, rs: RandomStream):
+    """Yield ``(generator, m)`` per chunk of ``trials``: batch ``j`` holds the
+    next ``min(BATCH_TRIALS, trials - j*BATCH_TRIALS)`` trials, draws from the
+    stream ``rs.shifted(j)`` and is split by :func:`_chunk_sizes`."""
     for j, done in enumerate(range(0, trials, BATCH_TRIALS)):
-        yield min(BATCH_TRIALS, trials - done), rs.shifted(j).generator()
+        g = rs.shifted(j).generator()
+        for m in _chunk_sizes(cfg, min(BATCH_TRIALS, trials - done)):
+            yield g, m
 
 
-def _estimate_batches(cfg: SystemConfig, trials: int, rs: RandomStream):
-    """Yield batched channel estimates ``(H, Hhat)`` over the fixed batch
-    partition of ``trials``; the workhorse behind all empirical reducers."""
-    sp = gen_pilot_matrix(cfg.nt, cfg.tp)
-    amp = math.sqrt(cfg.rho / cfg.nt)
-    for n, g in _batches(trials, rs):
-        for m in _chunk_sizes(cfg, n):
-            h, dp_, vp = _training_draws(cfg, g, m)
-            yp = amp * (h @ (sp + dp_)) + vp
-            yield h, lmmse_estimate(yp, sp, cfg)
+def _estimate_batches(
+    cfg: SystemConfig, g: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``n`` trials of the channel ``H`` and its LMMSE estimate ``Hhat``
+    from the sufficient statistic of the received pilots; exact in law.
+
+    With ``a = sqrt(rho/nt)`` and ``c = delta^2 rho + 1``,
+    :func:`lmmse_estimate` applies ``a Yp (a^2 Sp^H Sp + c I)^{-1} Sp^H`` to
+    ``Yp = a H (Sp + Dp) + Vp``.  By the push-through identity this equals
+    ``a Yp Sp^H (a^2 Sp Sp^H + c I)^{-1}``, and the orthogonal pilots
+    ``Sp Sp^H = tp I`` make the inverse the scalar ``k = a / (a^2 tp + c)``:
+    ``Hhat = k (a (tp H + H Dp Sp^H) + Vp Sp^H)``.  ``Sp^H / sqrt(tp)`` has
+    orthonormal columns, so ``Dp Sp^H = delta sqrt(tp) E`` and
+    ``Vp Sp^H = sqrt(tp) W`` in law, with ``E`` (nt x nt) and ``W`` (nr x nt)
+    i.i.d. CN(0,1) and independent of ``H``:
+
+        Hhat = k (a (tp H + delta sqrt(tp) H E) + sqrt(tp) W),
+
+    so no draw grows with ``tp``.  The product ``H E`` keeps the estimate
+    non-Gaussian under distortion.  Draw order: ``H``, ``E``, ``W``.
+    """
+    h = _cn(g, (n, cfg.nr, cfg.nt))
+    e = _cn(g, (n, cfg.nt, cfg.nt))
+    w = _cn(g, (n, cfg.nr, cfg.nt))
+    a = math.sqrt(cfg.rho / cfg.nt)
+    k = a / (a * a * cfg.tp + cfg.delta**2 * cfg.rho + 1.0)
+    root_tp = math.sqrt(cfg.tp)
+    hhat = h @ e
+    hhat *= cfg.delta * root_tp
+    hhat += cfg.tp * h
+    hhat *= a * k
+    hhat += (k * root_tp) * w
+    return h, hhat
 
 
 def _sample_sets(
-    cfg: SystemConfig, receivers, trials: int, rs: RandomStream, grams
+    cfg: SystemConfig, receivers, trials: int, rs: RandomStream, draw
 ) -> dict[Receiver, SinrSampleSet]:
-    """Each receiver's SINR map over the Gram batches ``grams`` yields, as
-    one :class:`SinrSampleSet` per distinct receiver.  ``grams`` is a
-    generator, so it draws nothing until the arguments have been checked."""
+    """One :class:`SinrSampleSet` per distinct receiver, from the Gram matrices
+    of the normalized estimates ``draw(g, m) -> Hbar`` (m, nr, nt) per chunk."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     receivers = tuple(dict.fromkeys(receivers))
     _require_zf_ok(cfg.nt, cfg.nr, *receivers)
     dpar = derive_params(cfg)
     parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
-    for gram in grams:
+    for g, m in _batches(cfg, trials, rs):
+        hbar = draw(g, m)
+        gram = hbar.conj().swapaxes(-1, -2) @ hbar
         for r in receivers:
             parts[r].append(_gram_sinr(gram, r, dpar, cfg.delta).ravel())
     return {
@@ -260,19 +269,15 @@ def sample_sinr_multi(
 ) -> dict[Receiver, SinrSampleSet]:
     """SINR samples for several receivers over the *same* channel draws.
 
-    One simulation pass (training, estimation, Gram matrix), then each
-    receiver's SINR map applied to the shared Gram batch, so sample k of one
-    receiver and sample k of another describe the same channel realization
-    and stream.  See :class:`SinrSampleSet` for the sample layout.
+    One simulation pass (estimate, Gram matrix), then each receiver's SINR
+    map applied to the shared Gram batch, so sample k of one receiver and
+    sample k of another describe the same channel realization and stream.
+    See :class:`SinrSampleSet` for the sample layout.
     """
-
-    def grams():
-        sigma_est = math.sqrt(derive_params(cfg).sigma2_est)
-        for _, hhat in _estimate_batches(cfg, trials, rs):
-            hbar = hhat / sigma_est
-            yield hbar.conj().swapaxes(-1, -2) @ hbar
-
-    return _sample_sets(cfg, receivers, trials, rs, grams())
+    sigma_est = math.sqrt(derive_params(cfg).sigma2_est)
+    return _sample_sets(
+        cfg, receivers, trials, rs, lambda g, m: _estimate_batches(cfg, g, m)[1] / sigma_est
+    )
 
 
 def sample_sinr(
@@ -303,13 +308,9 @@ def sample_sinr_model(
     for distribution-level comparisons.  Stream/batch layout and the
     sample ordering match :func:`sample_sinr_multi`.
     """
-
-    def grams():
-        for n, g in _batches(trials, rs):
-            hbar = _cn(g, (n, cfg.nr, cfg.nt))
-            yield np.einsum("bij,bik->bjk", hbar.conj(), hbar)
-
-    return _sample_sets(cfg, receivers, trials, rs, grams())
+    return _sample_sets(
+        cfg, receivers, trials, rs, lambda g, m: _cn(g, (m, cfg.nr, cfg.nt))
+    )
 
 
 def empirical_nmse(cfg: SystemConfig, trials: int, rs: RandomStream) -> float:
@@ -318,12 +319,11 @@ def empirical_nmse(cfg: SystemConfig, trials: int, rs: RandomStream) -> float:
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     total = 0.0
-    count = 0
-    for h, hhat in _estimate_batches(cfg, trials, rs):
+    for g, m in _batches(cfg, trials, rs):
+        h, hhat = _estimate_batches(cfg, g, m)
         err = h - hhat
         total += float(np.sum(err.real**2 + err.imag**2))
-        count += err.shape[0]
-    return total / (count * cfg.nr * cfg.nt)
+    return total / (trials * cfg.nr * cfg.nt)
 
 
 def empirical_rate(
@@ -358,16 +358,15 @@ def validate_sinr_end_to_end(
         raise ValueError(f"need trials >= 1, got {trials}")
     _require_zf_ok(cfg.nt, cfg.nr, receiver)
     dpar = derive_params(cfg)
-    sigma_est = math.sqrt(dpar.sigma2_est)
     scale = cfg.rho / cfg.nt
     noise_var = (cfg.rho + cfg.rho * cfg.delta**2 + 1.0 + dpar.epsilon) / (
         1.0 + dpar.epsilon
     )
     eye = np.eye(cfg.nr)
     worst = 0.0
-    for _, hhat in _estimate_batches(cfg, trials, rs):
-        hbar = hhat / sigma_est
-        gram = hbar.conj().swapaxes(-1, -2) @ hbar
+    for g, m in _batches(cfg, trials, rs):
+        hhat = _estimate_batches(cfg, g, m)[1]
+        gram = (hhat.conj().swapaxes(-1, -2) @ hhat) / dpar.sigma2_est
         reference = _gram_sinr(gram, receiver, dpar, cfg.delta)
         outer = hhat @ hhat.conj().swapaxes(-1, -2)
         r_base = scale * (1.0 + cfg.delta**2) * outer + noise_var * eye

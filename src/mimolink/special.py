@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import AccuracyError
-from .quadrature import integrate_family
+from .quadrature import _X_HI, integrate_family
 
 __all__ = [
     "exp_integral_en_scaled",
@@ -48,6 +48,9 @@ _EULER = float(np.euler_gamma)
 
 # Crossover between the small-z power series and the continued fraction.
 _SERIES_CUTOFF = 1.5
+
+# Largest (pairs x nodes) array a Tricomi family may build (128 MiB float64).
+_TRICOMI_ELEMENTS = 1 << 24
 
 
 @lru_cache(maxsize=None)
@@ -164,6 +167,10 @@ def log_tricomi_u_family(ab_pairs: np.ndarray, z: float) -> np.ndarray:
     Returns:
         Array (m,) of natural-log values (U is positive throughout this
         parameter range).
+
+    Raises:
+        AccuracyError: before building any (pairs x nodes) array larger than
+            ``_TRICOMI_ELEMENTS``.
     """
     ab = np.asarray(ab_pairs, dtype=float)
     if ab.ndim != 2 or ab.shape[1] != 2:
@@ -207,6 +214,10 @@ def log_tricomi_u_family(ab_pairs: np.ndarray, z: float) -> np.ndarray:
     # Fix each component's scale from a coarse probe of the seed knots plus
     # the analytic peak location, then keep it frozen during refinement.
     probe = np.concatenate([knots, np.clip(a - 1.0, x_floor, x_max)])
+    size = a.size * max(probe.size, knots.size * _X_HI.size)
+    if size > _TRICOMI_ELEMENTS:
+        raise AccuracyError(f"Tricomi U family of {a.size} pairs x {size // a.size} "
+                            f"nodes exceeds the {_TRICOMI_ELEMENTS}-element budget")
     scale = _log_integrand(probe).max(axis=1)  # (m,)
 
     def f(x: np.ndarray) -> np.ndarray:

@@ -1,6 +1,12 @@
 """Shared helpers for the test suite."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
+
+import mimolink
 
 
 def ks_statistic(samples, cdf, max_points=2000):
@@ -27,3 +33,22 @@ def ks_statistic(samples, cdf, max_points=2000):
     hi = (idx + 1) / n  # empirical CDF at x[i]
     d = float(np.max(np.maximum(f - lo, hi - f)))
     return d, stride / n
+
+
+def run_capped(code, cap_gib):
+    """Run ``code`` in a fresh interpreter whose address space is capped at
+    ``cap_gib`` GiB, with one BLAS thread and this checkout's package first
+    on the path; returns the ``CompletedProcess``."""
+    cap = int(cap_gib * (1 << 30))
+    prelude = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(mimolink.__path__[0]), env.get("PYTHONPATH", "")]
+    )
+    return subprocess.run(
+        [sys.executable, "-c", prelude + code], env=env, capture_output=True,
+        text=True, timeout=300,
+    )

@@ -4,6 +4,7 @@ Reference CDF values were generated with an independent mpmath
 implementation of the distribution series at 60-digit precision.
 """
 
+import itertools
 import logging
 import math
 import os
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mimolink
+from mimolink import cli
 from mimolink import (
     Receiver,
     SystemConfig,
@@ -32,6 +34,8 @@ from mimolink.analytic import (
     sinr_cdf,
 )
 from mimolink.simulate import RandomStream, empirical_rate
+
+from _util import run_capped
 
 
 def _cfg(nt, nr, tp, rho, delta):
@@ -87,6 +91,31 @@ class TestSinrCdfFrozenValues:
         cfg = _cfg(4, 4, 4, 10.0, 0.1)
         with pytest.raises(ValueError):
             sinr_cdf(Receiver.ZF, cfg, -0.5)
+        with pytest.raises(ValueError):
+            sinr_cdf(Receiver.ZF, cfg, np.array([1.0, -0.5]))
+        with pytest.raises(ValueError):
+            sinr_cdf(Receiver.ZF, cfg, math.nan)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    def test_one_at_infinity(self, delta):
+        cfg = _cfg(4, 6, 4, 10.0, delta)
+        for r in Receiver:
+            assert sinr_cdf(r, cfg, math.inf) == 1.0
+
+    def test_array_equals_scalar_on_fig2_grid(self):
+        # Every cell of the fig2 preset's grid, those at and above the wall
+        # included: an array of thresholds gives, entry by entry, the bits
+        # of the scalar call.
+        p = cli.PRESETS["fig2"]["params"]
+        thresholds = [db_to_linear(x) for x in cli._grid(p, "threshold_db")]
+        for (nt, nr), delta in itertools.product(p["configs"], p["delta"]):
+            cfg = _cfg(nt, nr, nt, db_to_linear(p["snr_db"]), delta)
+            for r in Receiver:
+                got = outage(r, cfg, np.array(thresholds))
+                want = [sinr_cdf(r, cfg, x) for x in thresholds]
+                assert got.shape == (len(thresholds),)
+                assert got.tolist() == want, (nt, nr, delta, r)
+        assert isinstance(sinr_cdf(Receiver.ZF, cfg, 2.0), float)
 
 
 @st.composite
@@ -145,23 +174,32 @@ class TestRateClosedVsQuadrature:
     def test_massive_mrc_quadrature_fits_in_3_gib(self):
         # Under a 3 GiB address-space cap (the benchmark's), MRC at 8x256
         # must complete instead of raising MemoryError.
-        code = (
-            "import resource; resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))\n"
+        out = run_capped(
             "from mimolink import Receiver, SystemConfig, db_to_linear\n"
             "from mimolink.analytic import rate_quadrature\n"
             "cfg = SystemConfig(nt=8, nr=256, t=200, tp=8, rho=db_to_linear(20), delta=0.1)\n"
-            "print(rate_quadrature(Receiver.MRC, cfg))\n"
-        )
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            [os.path.dirname(mimolink.__path__[0]), env.get("PYTHONPATH", "")]
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-            timeout=300,
+            "print(rate_quadrature(Receiver.MRC, cfg))\n",
+            cap_gib=3,
         )
         assert out.returncode == 0, out.stderr
         assert math.isfinite(float(out.stdout)) and float(out.stdout) > 0
+
+    def test_massive_mrc_closed_form_and_ceiling_fit_in_3_gib(self):
+        # The closed form's Tricomi family at MRC 8x256 would need a 33.6 GiB
+        # (pairs x nodes) array: it refuses past its budget and the rate
+        # falls back to the engine; the ceiling is the engine at c0_bar.
+        out = run_capped(
+            "from mimolink import Receiver, SystemConfig, db_to_linear\n"
+            "from mimolink.analytic import rate_ceiling, rate_closed_form, rate_quadrature\n"
+            "cfg = SystemConfig(nt=8, nr=256, t=100, tp=12, rho=db_to_linear(20), delta=0.1)\n"
+            "for f in (rate_closed_form, rate_quadrature, rate_ceiling):\n"
+            "    print(f(Receiver.MRC, cfg))\n",
+            cap_gib=3,
+        )
+        assert out.returncode == 0, out.stderr
+        closed, quad, ceiling = (float(v) for v in out.stdout.split())
+        assert closed == pytest.approx(quad, rel=1e-12)
+        assert quad < ceiling
 
     def test_runtime_does_not_import_scipy(self):
         # scipy is a test oracle only: the CLI and the rate, CDF and tp

@@ -7,7 +7,16 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mimolink import AccuracyError, Receiver, SystemConfig, db_to_linear, rate_ceiling
+from mimolink import (
+    AccuracyError,
+    Receiver,
+    SystemConfig,
+    __version__,
+    db_to_linear,
+    rate_ceiling,
+    rate_closed_form,
+    sinr_cdf,
+)
 from mimolink import cli
 from mimolink.cli import main
 from mimolink.training import optimize_tp_exact
@@ -230,17 +239,34 @@ class TestReproducibilityAndVerify:
         res = _run(["verify", str(mpath)])
         assert res.exit_code == 1
         assert "MISMATCH" in res.output
+        assert "manifest from mimolink" not in res.output
+
+    def test_verify_names_both_versions_on_mismatch(self, tmp_path):
+        # A manifest written by another version whose bytes no longer
+        # reproduce: the report says which versions disagree.
+        assert _run(self._fast_nmse(tmp_path)).exit_code == 0
+        mpath = tmp_path / "nmse.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["version"] = "0.1.0"
+        manifest["files"]["nmse.csv"] = "0" * 64
+        mpath.write_text(json.dumps(manifest))
+        res = _run(["verify", str(mpath)])
+        assert res.exit_code == 1
+        assert "MISMATCH  nmse.csv" in res.output
+        assert f"manifest from mimolink 0.1.0, running {__version__}" in res.output
+        assert __version__ != "0.1.0"
 
 
 class TestGoldenDigests:
     """SHA-256 of output files: fig6 as written before the asymptotic scan
-    was vectorized, the rates run as written since the rate quadrature took
-    12 seed knots and log-factorials from ``math.lgamma``, and one
-    down-scaled run of every subcommand as written before the CLI's sweeps
-    shared one runner.  A change that alters a data byte must update these
-    on purpose; a rerun of one build cannot catch that.  The digests cover
-    Monte Carlo cells, so they also pin this platform's numpy and BLAS
-    rounding."""
+    was vectorized, ``opt-tp`` and the ``both`` run's tp table as written
+    before the CLI's sweeps shared one runner, and every table with Monte
+    Carlo cells as written since the simulator draws the channel estimate
+    from its sufficient statistic (version 0.2.0; the fixed-tp rates run
+    also since the ceiling comes from the quadrature engine).  A change that
+    alters a data byte must update these on purpose; a rerun of one build
+    cannot catch that.  The digests cover Monte Carlo cells, so they also
+    pin this platform's numpy and BLAS rounding."""
 
     @staticmethod
     def _digest(path):
@@ -248,21 +274,21 @@ class TestGoldenDigests:
 
     @pytest.mark.parametrize("args, digests", [
         (["nmse", "--preset", "fig1", "--trials", "64"],
-         {"nmse.csv": "9233a6ff8305d2453ce420925d5c5a71bd9b4e4c44361b2426b2649e8846c808"}),
+         {"nmse.csv": "a87b9595a8ddc65a0a057a968fd17a10e23163f64c356d99ad5da9797c8e08e5"}),
         (["outage", "--preset", "fig2", "--trials", "256",
           "--threshold-db-step", "5"],
-         {"outage.csv": "c3964d7ac1456d8bc279bd283f660c0bd1da58fe59fdf2fda7ff90ed13a31f19"}),
+         {"outage.csv": "724959881fd62c418a76a3035658e40482d6753e3cfb22aeddc026e25a6e7945"}),
         (["rates", "--preset", "fig3", "--trials", "64", "--snr-db-step", "10"],
-         {"rates.csv": "e774ffc34030d8cc60c97eb12ff321e57b8da8d1ef4ca856d037c767e0cd7dab"}),
+         {"rates.csv": "401d29a132d498cf5f892d754390b7df28b093cbd58e6198a2ba4637643a1934"}),
         (["opt-tp", "--preset", "fig4"],
          {"opt_tp.csv": "4d181bac316ac3e31d4f09b417ef5f098cabd04b282288a14fadc920dbfb5803"}),
         (["asymptotic", "--preset", "fig5", "--trials", "64"],
          {"asymptotic_convergence.csv":
-          "396d15a418fb24a5c2bdb865d2cfebe8912fa71d97329fa7d5610973ce19e1cf"}),
+          "6aa8282c011909e07b9c39f9d54b97b05c48780c8ef053ae2968d4dd68b87ca8"}),
         (["asymptotic", "--mode", "both", "--config", "4x16", "--t", "100",
           "--trials", "64", "--snr-db-step", "20"],
          {"asymptotic_convergence.csv":
-          "de81955eb979c1790f1f9a1473fcbd77b40ee91d44d3f758a07e302a913905a8",
+          "2b97fa159dc9b07434b74fe637929e05d5b88101f7f99c2134fe5495bb9e9fdd",
           "asymptotic_tp.csv":
           "4c89182f8c56f0db993769220cb94f70873ee26a8aa7f7ba52ea3b5ad27a57c9"}),
     ], ids=["nmse", "outage", "rates", "opt-tp", "fig5", "both"])
@@ -293,13 +319,57 @@ class TestGoldenDigests:
         ])
         assert res.exit_code == 0, res.output
         assert self._digest(tmp_path / "rates.csv") == (
-            "c838f7ab943b86e4729efa3f4a338f85c7650466d290ab42cdaff64d632e9f61"
+            "f1be734cdaf284750ff3996a1683ed9f8a70aac729668afa1a8463784ace3832"
         )
         # The ceiling is rho-independent: one evaluation per (receiver,
         # delta > 0), not one per SNR.
         assert sorted(calls) == sorted(
             (r, d, 8) for r in Receiver for d in (0.05, 0.15)
         )
+
+
+class TestAnalyticColumns:
+    """The analytic cells the CLI writes are the library's values, bit for
+    bit, as the benchmark's sweep checks them."""
+
+    def test_rates_fixed_tp(self, tmp_path):
+        res = _run(["rates", "--tp", "8", "--trials", "64", "--snr-db-step", "25",
+                    "--seed", "777", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        header, rows = _read_csv(tmp_path / "rates.csv")
+        col = {name: i for i, name in enumerate(header)}
+        assert len(rows) == 27
+        for row in rows:
+            receiver, delta = Receiver(row[col["receiver"]]), float(row[col["delta"]])
+            cfg = SystemConfig(nt=4, nr=4, t=200, tp=8, delta=delta,
+                               rho=db_to_linear(float(row[col["snr_dB"]])))
+            assert float(row[col["rate_analytic"]]) == rate_closed_form(receiver, cfg)
+            if delta > 0:
+                assert float(row[col["rate_ceiling"]]) == rate_ceiling(receiver, cfg)
+
+    def test_outage_fig2_grid(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_cdf(receiver, cfg, gamma):
+            calls.append(receiver)
+            return sinr_cdf(receiver, cfg, gamma)
+
+        monkeypatch.setattr(cli, "sinr_cdf", counting_cdf)
+        res = _run(["outage", "--preset", "fig2", "--trials", "64", "--seed", "777",
+                    "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        header, rows = _read_csv(tmp_path / "outage.csv")
+        col = {name: i for i, name in enumerate(header)}
+        assert len(rows) == 2424
+        # One vectorized call per (point, receiver): 2 configs x 4 deltas x 3.
+        assert len(calls) == 24
+        for row in rows:
+            nt, nr = int(row[col["nt"]]), int(row[col["nr"]])
+            cfg = SystemConfig(nt=nt, nr=nr, t=2 * nt + 2, tp=nt,
+                               rho=db_to_linear(30.0), delta=float(row[col["delta"]]))
+            want = sinr_cdf(Receiver(row[col["receiver"]]), cfg,
+                            float(row[col["threshold"]]))
+            assert float(row[col["outage_analytic"]]) == want
 
 
 class TestPresets:

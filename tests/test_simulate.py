@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from mimolink import (
     Receiver,
@@ -13,9 +14,11 @@ from mimolink import (
     derive_params,
     sinr_cdf,
 )
+from mimolink import simulate
 from mimolink.simulate import (
     RandomStream,
     _cn,
+    _gram_sinr,
     empirical_nmse,
     empirical_outage,
     empirical_rate,
@@ -28,7 +31,7 @@ from mimolink.simulate import (
     validate_sinr_end_to_end,
 )
 
-from _util import ks_statistic
+from _util import ks_statistic, run_capped
 
 
 class TestPilotMatrix:
@@ -104,6 +107,94 @@ class TestLmmseEstimate:
         assert yp.shape == (6, 5)
 
 
+def _literal_chain_stream0(cfg, receivers, trials, seed):
+    """Stream-0 SINRs from the literal pilot chain: pilots through
+    ``gen_pilot_matrix``, distortion and noise of length ``tp``, and the
+    ``tp x tp`` LMMSE solve of ``lmmse_estimate``."""
+    g = np.random.default_rng(seed)
+    sp = gen_pilot_matrix(cfg.nt, cfg.tp)
+    dpar = derive_params(cfg)
+    out = {r: [] for r in receivers}
+    for done in range(0, trials, 1024):
+        n = min(1024, trials - done)
+        h = _cn(g, (n, cfg.nr, cfg.nt))
+        dp = cfg.delta * _cn(g, (n, cfg.nt, cfg.tp))
+        yp = math.sqrt(cfg.rho / cfg.nt) * h @ (sp + dp) + _cn(g, (n, cfg.nr, cfg.tp))
+        hbar = lmmse_estimate(yp, sp, cfg) / math.sqrt(dpar.sigma2_est)
+        gram = hbar.conj().swapaxes(-1, -2) @ hbar
+        for r in receivers:
+            out[r].append(_gram_sinr(gram, r, dpar, cfg.delta)[:, 0])
+    return {r: np.concatenate(v) for r, v in out.items()}
+
+
+class TestSufficientStatistic:
+    """The runtime estimate is the literal chain's, reduced exactly."""
+
+    @pytest.mark.parametrize("nt, nr, tp, delta", [
+        (4, 4, 4, 0.1), (4, 4, 96, 0.1), (8, 64, 64, 0.1), (2, 3, 7, 0.0),
+        (16, 512, 16, 0.15),
+    ])
+    def test_same_draws_same_estimate(self, monkeypatch, nt, nr, tp, delta):
+        # Feed one (H, Dp, Vp) through both paths: E and W are the
+        # distortion and noise seen through the orthonormal Sp^H / sqrt(tp).
+        cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp, tp=tp, rho=db_to_linear(20),
+                           delta=delta)
+        g = np.random.default_rng(17)
+        n = 8
+        sp = gen_pilot_matrix(nt, tp)
+        h, d, vp = _cn(g, (n, nr, nt)), _cn(g, (n, nt, tp)), _cn(g, (n, nr, tp))
+        yp = math.sqrt(cfg.rho / nt) * h @ (sp + delta * d) + vp
+        want = lmmse_estimate(yp, sp, cfg)
+        root = math.sqrt(tp)
+        fed = iter([h, d @ sp.conj().T / root, vp @ sp.conj().T / root])
+        monkeypatch.setattr(simulate, "_cn", lambda _g, shape: next(fed))
+        h_out, got = simulate._estimate_batches(cfg, None, n)
+        assert h_out is h
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nt, nr, tp, snr_db, delta, trials", [
+        (4, 4, 96, 20, 0.1, 20000), (8, 64, 64, 20, 0.1, 6000),
+        (5, 30, 5, 30, 0.175, 6000),
+    ])
+    def test_same_law_as_literal_chain(self, nt, nr, tp, snr_db, delta, trials):
+        # Two-sample KS on stream 0 of each trial (streams of one trial are
+        # dependent), at the alpha = 1e-3 critical value.  The 5x30 cell is
+        # where the H E term makes the estimate far from Gaussian.
+        cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp, tp=tp, rho=db_to_linear(snr_db),
+                           delta=delta)
+        fast = sample_sinr_multi(cfg, tuple(Receiver), trials, RandomStream(5, 1))
+        chain = _literal_chain_stream0(cfg, tuple(Receiver), trials, seed=6)
+        bound = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / trials)
+        for r in Receiver:
+            stream0 = fast[r].samples.reshape(trials, nt)[:, 0]
+            d = scipy.stats.ks_2samp(stream0, chain[r]).statistic
+            assert d <= bound, (r, d, bound)
+
+    def test_chunks_do_not_depend_on_tp(self):
+        # The chunk partition is part of the replay contract; it reads only
+        # the antenna counts, and splits a batch once max(nr, nt) * nt
+        # outgrows the per-array element cap.
+        cfg = SystemConfig(nt=64, nr=512, t=200_000, tp=64, rho=1.0)
+        sizes = simulate._chunk_sizes(cfg, 4096)
+        assert sizes == [512] * 8
+        assert simulate._chunk_sizes(cfg.with_tp(100_000), 4096) == sizes
+        assert simulate._chunk_sizes(cfg.with_tp(100_000), 1000) == [512, 488]
+
+    def test_nmse_cost_does_not_grow_with_tp(self):
+        # tp = 100 000: the literal chain's tp x tp solve alone would need
+        # 160 GB; the sufficient statistic runs under a 1 GiB cap.
+        out = run_capped(
+            "from mimolink import SystemConfig, derive_params\n"
+            "from mimolink.simulate import RandomStream, empirical_nmse\n"
+            "cfg = SystemConfig(nt=4, nr=4, t=200_000, tp=100_000, rho=0.01, delta=0.1)\n"
+            "print(empirical_nmse(cfg, 4096, RandomStream(3)), derive_params(cfg).sigma2_err)\n",
+            cap_gib=1,
+        )
+        assert out.returncode == 0, out.stderr
+        emp, ana = (float(v) for v in out.stdout.split())
+        assert emp == pytest.approx(ana, rel=0.05)
+
+
 class TestReproducibility:
     def test_sample_sinr_bit_identical(self):
         cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=10.0, delta=0.1)
@@ -140,10 +231,10 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("sampler, digest", [
         (sample_sinr_model,
-         "0a20e7644159d5b376f37672a15d71ba2e2450b4159bb936664861ea427fb66b"),
+         "f6f846aa1ed53a1ad1a18d74dae20fe45fb1388f6a6973f6e7b726afbbd11001"),
         (sample_sinr_multi,
-         "ce32343b0e2e6bc076e3e51aeed119d96506fb9dcf32bc752ec2c9196e5ec47e"),
-    ])
+         "c4e510c9109c233adc7ca8c035ffd5bb7dadf7ede363478b208bc092c554024d"),
+    ], ids=["sample_sinr_model", "sample_sinr_multi"])
     def test_golden_samples_across_two_batches(self, sampler, digest):
         # SHA-256 of the ZF, MRC and MMSE sample bytes; 5000 trials span two
         # 4096-trial batches.  A change that alters a sample bit must update

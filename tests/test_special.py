@@ -12,6 +12,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
+from mimolink import AccuracyError
 from mimolink.special import (
     CoefficientTable,
     _log_factorial,
@@ -162,6 +163,13 @@ class TestLogFactorial:
 
 
 class TestTricomiU:
+    def test_family_over_budget_raises_before_allocating(self):
+        # 5000 pairs x ~5100 probe nodes is past the 2^24-element budget;
+        # the family refuses with its size instead of building the array.
+        pairs = np.stack([np.arange(1, 5001), np.zeros(5000)], axis=1)
+        with pytest.raises(AccuracyError, match="5000 pairs x 5104 nodes"):
+            log_tricomi_u_family(pairs, 3.0)
+
     @pytest.mark.parametrize("a, b", [(2.5, 1), (2, 0.5)])
     def test_rejects_non_integer_parameters(self, a, b):
         with pytest.raises(ValueError, match="integers"):
