@@ -285,7 +285,6 @@ def _outage(p: dict):
                            delta=delta)
         samples = sample_sinr_multi(cfg, receivers, p["trials"],
                                     _point_stream(p["seed"], i))
-        # One vectorized CDF call per receiver covers every threshold.
         return [[nt, nr, x, str(r), delta, cdf, empirical_outage(samples[r], x)]
                 for r in receivers
                 for x, cdf in zip(thresholds, sinr_cdf(r, cfg, thresholds).tolist())]
