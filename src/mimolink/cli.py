@@ -30,7 +30,10 @@ meet its target); 1 verification mismatch.
 
 Presets reproduce the library's reference figures and are the only source
 of defaults.  Parameters are layered: the subcommand's default preset
-(marked *), then ``--preset``, then any explicitly given flag:
+(marked *), then ``--preset`` (one of the subcommand's own), then any
+explicitly given flag.  A subcommand takes exactly one flag per key of its
+default preset (``--config`` plus ``--nt``/``--nr`` for ``configs``) and the
+output flags, so a flag no sweep reads is a usage error:
 
 =======  ===========  ====================================================
 preset   subcommand   parameters
@@ -46,7 +49,6 @@ fig6     asymptotic   8x16 and 8x256, T=500, delta {0,.15} (training)
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -120,7 +122,7 @@ PRESETS: dict[str, dict] = {
             "nt": 4, "nr": 4, "t": 200,
             "delta": [0.0, 0.15],
             "snr_db_min": -10.0, "snr_db_max": 40.0, "snr_db_step": 2.0,
-            "receiver": "all", "seed": 12345,
+            "receiver": "all",
         },
     },
     "fig5": {
@@ -285,9 +287,11 @@ def _outage(p: dict):
                            delta=delta)
         samples = sample_sinr_multi(cfg, receivers, p["trials"],
                                     _point_stream(p["seed"], i))
-        return [[nt, nr, x, str(r), delta, cdf, empirical_outage(samples[r], x)]
+        return [[nt, nr, x, str(r), delta, cdf, emp]
                 for r in receivers
-                for x, cdf in zip(thresholds, sinr_cdf(r, cfg, thresholds).tolist())]
+                for x, cdf, emp in zip(thresholds,
+                                       sinr_cdf(r, cfg, thresholds).tolist(),
+                                       empirical_outage(samples[r], thresholds).tolist())]
 
     points = [(tuple(c), d) for c in p["configs"] for d in p["delta"]]
     return points, work, ["nt", "nr", "threshold", "receiver", "delta",
@@ -399,17 +403,6 @@ def _asymptotic_tp(p: dict):
                           "tp_star_asymptotic"]
 
 
-# subcommand -> {file stem: table declaration}
-_SWEEPS = {
-    "nmse": {"nmse": _nmse},
-    "outage": {"outage": _outage},
-    "rates": {"rates": _rates},
-    "opt-tp": {"opt_tp": _opt_tp},
-    "asymptotic": {"asymptotic_convergence": _convergence,
-                   "asymptotic_tp": _asymptotic_tp},
-}
-
-
 def _sweep(points: list, work) -> list:
     """Rows of ``work(i, point)`` over the enumerated points, concatenated
     in point order.  Points run on a small thread pool; the order of the
@@ -427,7 +420,7 @@ def _sweep(points: list, work) -> list:
 def _tables(subcommand: str, params: dict) -> dict:
     """``{file_stem: (columns, rows)}`` of every table the params select."""
     tables = {}
-    for stem, declare in _SWEEPS[subcommand].items():
+    for stem, declare in _SUBCOMMANDS[subcommand]["tables"].items():
         sweep = declare(params)
         if sweep is not None:
             points, work, columns = sweep
@@ -435,59 +428,61 @@ def _tables(subcommand: str, params: dict) -> dict:
     return tables
 
 
-_RUNNERS = {name: functools.partial(_tables, name) for name in _SWEEPS}
-
-
 # --------------------------------------------------------------------------
-# Option plumbing
+# Subcommands.  Each is one row of ``_SUBCOMMANDS``: its default preset, its
+# tables and its help.  It takes the ``_FLAGS`` of the keys in its default
+# preset (a preset with ``configs`` also brings ``--nt``/``--nr``, which
+# collapse the list to one configuration), then the output flags; its
+# ``--preset`` offers only its own presets.
 
+_FLAGS = {
+    "mode": click.option("--mode", type=click.Choice(["both", "convergence", "tp"]),
+                         help="Which asymptotic tables to produce."),
+    "configs": click.option("--config", "configs", multiple=True,
+                            help="Antenna configuration NTxNR (repeatable), e.g. 5x30."),
+    "nt": click.option("--nt", type=int, help="Transmit antennas."),
+    "nr": click.option("--nr", type=int, help="Receive antennas."),
+    "t": click.option("--t", type=int, help="Coherence block length."),
+    "tp": click.option("--tp", type=int, help="Training length."),
+    "snr_db": click.option("--snr-db", type=float,
+                           help="Operating SNR in dB (the x axis is the SINR threshold)."),
+    "delta": click.option("--delta", type=float, multiple=True,
+                          help="Impairment level (repeatable)."),
+    "snr_db_min": click.option("--snr-db-min", type=float),
+    "snr_db_max": click.option("--snr-db-max", type=float),
+    "snr_db_step": click.option("--snr-db-step", type=float),
+    "threshold_db_min": click.option("--threshold-db-min", type=float),
+    "threshold_db_max": click.option("--threshold-db-max", type=float),
+    "threshold_db_step": click.option("--threshold-db-step", type=float),
+    "trials": click.option("--trials", type=int,
+                           help="Monte Carlo trials per sweep point."),
+    "seed": click.option("--seed", type=int, help="Base RNG seed."),
+    "receiver": click.option("--receiver",
+                             type=click.Choice(["zf", "mrc", "mmse", "all"])),
+}
 
-def _shared_options(fn):
-    opts = [
-        click.option("--nt", type=int, default=None, help="Transmit antennas."),
-        click.option("--nr", type=int, default=None, help="Receive antennas."),
-        click.option("--t", type=int, default=None, help="Coherence block length."),
-        click.option("--tp", type=int, default=None, help="Training length."),
-        click.option("--delta", type=float, multiple=True,
-                     help="Impairment level (repeatable)."),
-        click.option("--snr-db-min", type=float, default=None),
-        click.option("--snr-db-max", type=float, default=None),
-        click.option("--snr-db-step", type=float, default=None),
-        click.option("--trials", type=int, default=None,
-                     help="Monte Carlo trials per sweep point."),
-        click.option("--seed", type=int, default=None, help="Base RNG seed."),
-        click.option("--receiver",
-                     type=click.Choice(["zf", "mrc", "mmse", "all"]),
-                     default=None),
-        click.option("--format", "format", type=click.Choice(["csv", "json"]),
-                     default=None, help="Output file format (default csv)."),
-        click.option("--out", type=click.Path(file_okay=False), default=None,
-                     help="Output directory (default: current directory)."),
-        click.option("--preset", type=click.Choice(sorted(PRESETS)), default=None,
-                     help="Reference-figure parameter set (default: the "
-                          "subcommand's own); flags override it."),
-        click.option("--emit-plot-script", is_flag=True, default=False,
-                     help="Also write a matplotlib script that renders the CSV."),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
-
-
-# The preset each subcommand starts from, before --preset and explicit flags.
-_DEFAULT_PRESET = {"nmse": "fig1", "outage": "fig2", "rates": "fig3",
-                   "opt-tp": "fig4", "asymptotic": "fig5"}
+_SUBCOMMANDS = {
+    "nmse": dict(preset="fig1", tables={"nmse": _nmse}, help=(
+        "Channel-estimation NMSE vs SNR: analytic curve, floor, empirical.")),
+    "outage": dict(preset="fig2", tables={"outage": _outage}, help=(
+        "SINR outage probability vs threshold, analytic vs empirical.")),
+    "rates": dict(preset="fig3", tables={"rates": _rates}, help=(
+        "Ergodic achievable rates vs SNR; the training length is optimized "
+        "per point unless --tp pins it.")),
+    "opt-tp": dict(preset="fig4", tables={"opt_tp": _opt_tp}, help=(
+        "Optimal training length vs SNR from the exact rate objective.")),
+    "asymptotic": dict(preset="fig5", tables={
+        "asymptotic_convergence": _convergence, "asymptotic_tp": _asymptotic_tp,
+    }, help=("Deterministic-equivalent rates vs simulation, plus asymptotic "
+             "training-length tables.")),
+}
 
 
 def _resolve(subcommand: str, preset: str | None, cli: dict) -> dict:
     """Layer parameters: default preset < ``--preset`` < explicit flags."""
-    params = dict(PRESETS[_DEFAULT_PRESET[subcommand]]["params"])
+    params = dict(PRESETS[_SUBCOMMANDS[subcommand]["preset"]]["params"])
     if preset is not None:
-        pre = PRESETS[preset]
-        if pre["subcommand"] != subcommand:
-            raise click.UsageError(
-                f"preset {preset!r} belongs to subcommand {pre['subcommand']!r}")
-        params.update(pre["params"])
+        params.update(PRESETS[preset]["params"])
     configs = cli.pop("configs", ())
     multi_config = "configs" in params
     for key, value in cli.items():
@@ -574,13 +569,16 @@ def _execute(subcommand: str, cli: dict) -> None:
     out_dir = Path(cli.pop("out") or ".")
     emit_plot_script = cli.pop("emit_plot_script")
     params = _resolve(subcommand, cli.pop("preset"), cli)
+    if emit_plot_script and params["format"] != "csv":
+        raise click.UsageError("--emit-plot-script renders CSV tables; "
+                               "it cannot be combined with --format json")
     try:
-        tables = _RUNNERS[subcommand](params)
+        tables = _tables(subcommand, params)
     except ValueError as exc:
         # Infeasible parameter combinations surface as config validation
         # errors; those are usage errors, not internal failures.
         raise click.UsageError(str(exc)) from exc
-    if emit_plot_script and params["format"] == "csv":
+    if emit_plot_script:
         out_dir.mkdir(parents=True, exist_ok=True)
         for stem, (columns, _) in tables.items():
             path = out_dir / f"plot_{stem}.py"
@@ -610,52 +608,33 @@ def main() -> None:
     """Training-based MIMO link analysis under residual transmit impairments."""
 
 
-@main.command()
-@_shared_options
-def nmse(**cli) -> None:
-    """Channel-estimation NMSE vs SNR: analytic curve, floor, empirical."""
-    _execute("nmse", cli)
+def _command(name: str, spec: dict) -> click.Command:
+    keys = PRESETS[spec["preset"]]["params"].keys()
+    if "configs" in keys:
+        keys = {*keys, "nt", "nr"}
+    own = sorted(p for p, pre in PRESETS.items() if pre["subcommand"] == name)
+    flags = [flag for key, flag in _FLAGS.items() if key in keys] + [
+        click.option("--format", "format", type=click.Choice(["csv", "json"]),
+                     help="Output file format (default csv)."),
+        click.option("--out", type=click.Path(file_okay=False),
+                     help="Output directory (default: current directory)."),
+        click.option("--preset", type=click.Choice(own),
+                     help=f"Reference-figure parameter set layered on "
+                          f"{spec['preset']}; flags override it."),
+        click.option("--emit-plot-script", is_flag=True,
+                     help="Also write a matplotlib script that renders the CSV."),
+    ]
+
+    def run(**cli) -> None:
+        _execute(name, cli)
+
+    for flag in reversed(flags):
+        run = flag(run)
+    return click.command(name, help=spec["help"])(run)
 
 
-@main.command()
-@_shared_options
-@click.option("--snr-db", type=float, default=None,
-              help="Operating SNR in dB (the x axis is the SINR threshold).")
-@click.option("--threshold-db-min", type=float, default=None)
-@click.option("--threshold-db-max", type=float, default=None)
-@click.option("--threshold-db-step", type=float, default=None)
-@click.option("--config", "configs", multiple=True,
-              help="Antenna configuration NTxNR (repeatable), e.g. 5x30.")
-def outage(**cli) -> None:
-    """SINR outage probability vs threshold, analytic vs empirical."""
-    _execute("outage", cli)
-
-
-@main.command()
-@_shared_options
-def rates(**cli) -> None:
-    """Ergodic achievable rates vs SNR; the training length is optimized
-    per point unless --tp pins it."""
-    _execute("rates", cli)
-
-
-@main.command("opt-tp")
-@_shared_options
-def opt_tp(**cli) -> None:
-    """Optimal training length vs SNR from the exact rate objective."""
-    _execute("opt-tp", cli)
-
-
-@main.command()
-@_shared_options
-@click.option("--mode", type=click.Choice(["both", "convergence", "tp"]),
-              default=None, help="Which asymptotic tables to produce.")
-@click.option("--config", "configs", multiple=True,
-              help="Antenna configuration NTxNR (repeatable).")
-def asymptotic(**cli) -> None:
-    """Deterministic-equivalent rates vs simulation, plus asymptotic
-    training-length tables."""
-    _execute("asymptotic", cli)
+for _name, _spec in _SUBCOMMANDS.items():
+    main.add_command(_command(_name, _spec))
 
 
 @main.command()
@@ -673,12 +652,12 @@ def verify(manifest: str, keep: str | None) -> None:
     with open(manifest, encoding="utf-8") as fh:
         doc = json.load(fh)
     subcommand = doc.get("subcommand")
-    if subcommand not in _RUNNERS:
+    if subcommand not in _SUBCOMMANDS:
         raise click.UsageError(f"manifest names unknown subcommand {subcommand!r}")
     params = doc["params"]
 
     def replay(target: Path) -> dict[str, str]:
-        tables = _RUNNERS[subcommand](params)
+        tables = _tables(subcommand, params)
         return _write_files(target, params.get("format", "csv"), tables)
 
     if keep is not None:

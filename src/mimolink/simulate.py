@@ -335,11 +335,22 @@ def empirical_rate(
     return (cfg.td / cfg.t) * cfg.nt * float(np.mean(np.log2(1.0 + s.samples)))
 
 
-def empirical_outage(samples: SinrSampleSet, threshold: float) -> float:
-    """Fraction of SINR samples at or below ``threshold`` (empirical CDF)."""
-    if threshold < 0:
-        raise ValueError(f"need threshold >= 0, got {threshold}")
-    return float(np.mean(samples.samples <= threshold))
+def empirical_outage(
+    samples: SinrSampleSet, threshold: float | np.ndarray
+) -> float | np.ndarray:
+    """Fraction of SINR samples at or below ``threshold`` (empirical CDF).
+
+    An array of thresholds is served by one sort and a binary search; the
+    counts are exact integers, so each entry equals the scalar call bit for
+    bit.
+    """
+    x = np.asarray(threshold, dtype=float)
+    if not np.all(x >= 0):  # also rejects NaN
+        raise ValueError(f"need thresholds >= 0, got {threshold}")
+    if x.ndim == 0:
+        return float(np.mean(samples.samples <= x))
+    s = np.sort(samples.samples, axis=None)
+    return np.searchsorted(s, x, side="right") / s.size
 
 
 def validate_sinr_end_to_end(

@@ -10,7 +10,8 @@ import mimolink
 
 
 def ks_statistic(samples, cdf, max_points=2000):
-    """Kolmogorov-Smirnov distance of ``samples`` from a scalar CDF callable.
+    """Kolmogorov-Smirnov distance of ``samples`` from a CDF callable that
+    maps an array of points to an array of probabilities.
 
     The exact two-sided statistic needs the CDF at every order statistic;
     for large sample sets this evaluates it on an evenly strided subset
@@ -28,7 +29,7 @@ def ks_statistic(samples, cdf, max_points=2000):
     idx = np.arange(0, n, stride)
     if idx[-1] != n - 1:
         idx = np.append(idx, n - 1)
-    f = np.array([cdf(float(v)) for v in x[idx]])
+    f = np.asarray(cdf(x[idx]), dtype=float)
     lo = idx / n  # empirical CDF just below x[i]
     hi = (idx + 1) / n  # empirical CDF at x[i]
     d = float(np.max(np.maximum(f - lo, hi - f)))

@@ -156,7 +156,7 @@ class TestOptTpCommand:
         res = _run([
             "opt-tp", "--nt", "4", "--nr", "4", "--t", "60", "--delta", "0.1",
             "--snr-db-min", "10", "--snr-db-max", "20", "--snr-db-step", "10",
-            "--seed", "1", "--receiver", "mmse", "--out", str(tmp_path),
+            "--receiver", "mmse", "--out", str(tmp_path),
         ])
         assert res.exit_code == 0, res.output
         header, rows = _read_csv(tmp_path / "opt_tp.csv")
@@ -293,7 +293,9 @@ class TestGoldenDigests:
           "4c89182f8c56f0db993769220cb94f70873ee26a8aa7f7ba52ea3b5ad27a57c9"}),
     ], ids=["nmse", "outage", "rates", "opt-tp", "fig5", "both"])
     def test_subcommand(self, tmp_path, args, digests):
-        res = _run([*args, "--seed", "777", "--out", str(tmp_path)])
+        # opt-tp draws nothing random and takes no --seed.
+        seed = [] if args[0] == "opt-tp" else ["--seed", "777"]
+        res = _run([*args, *seed, "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
         written = {p.name: self._digest(p) for p in tmp_path.glob("*.csv")}
         assert written == digests
@@ -417,6 +419,96 @@ class TestPresets:
         script = (tmp_path / "plot_nmse.py").read_text()
         compile(script, "plot_nmse.py", "exec")
 
+    def test_plot_script_with_json_is_usage_error(self, tmp_path):
+        res = _run(["nmse", "--format", "json", "--emit-plot-script",
+                    "--trials", "64", "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "--emit-plot-script" in res.output
+        assert not list(tmp_path.iterdir())
+
+
+class TestFlags:
+    """A subcommand takes exactly the flags of its default preset's keys."""
+
+    class _Reads(dict):
+        """A params dict that records every key the sweeps read."""
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return super().__getitem__(key)
+
+    @staticmethod
+    def _default_keys(name):
+        return set(cli.PRESETS[cli._SUBCOMMANDS[name]["preset"]]["params"])
+
+    @pytest.mark.parametrize("name", sorted(cli._SUBCOMMANDS))
+    def test_flags_are_the_default_preset_keys(self, name):
+        keys = self._default_keys(name)
+        want = {"--config" if k == "configs" else "--" + k.replace("_", "-")
+                for k in keys}
+        if "configs" in keys:
+            want |= {"--nt", "--nr"}
+        want |= {"--format", "--out", "--preset", "--emit-plot-script"}
+        assert {opt for p in main.commands[name].params for opt in p.opts} == want
+
+    def test_presets_fit_their_subcommand(self):
+        for name, preset in cli.PRESETS.items():
+            assert set(preset["params"]) <= self._default_keys(preset["subcommand"]), name
+
+    @pytest.mark.parametrize("name, point", [
+        ("nmse", {"snr_db_max": -10.0, "delta": [0.1], "trials": 64}),
+        ("outage", {"configs": [[2, 4]], "delta": [0.1], "threshold_db_max": -10.0,
+                    "trials": 64, "receiver": "mmse"}),
+        ("rates", {"snr_db_max": -10.0, "delta": [0.1], "trials": 64,
+                   "receiver": "mmse"}),
+        ("opt-tp", {"snr_db_max": -10.0, "delta": [0.1], "receiver": "mmse"}),
+        ("asymptotic", {"mode": "both", "configs": [[2, 8]], "t": 40,
+                        "snr_db_max": -10.0, "delta": [0.1], "trials": 64,
+                        "receiver": "mmse"}),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_sweeps_read_every_default_preset_key(self, name, point):
+        params = self._Reads(cli.PRESETS[cli._SUBCOMMANDS[name]["preset"]]["params"])
+        params.update(point)
+        params.read = set()
+        tables = cli._tables(name, params)
+        assert tables and all(len(rows) == 1 for _, rows in tables.values())
+        assert params.read == self._default_keys(name)
+
+    @pytest.mark.parametrize("args", [
+        ["nmse", "--receiver", "zf"],
+        ["outage", "--t", "20"],
+        ["outage", "--snr-db-min", "0"],
+        ["outage", "--snr-db-max", "10"],
+        ["outage", "--snr-db-step", "5"],
+        ["opt-tp", "--tp", "8"],
+        ["opt-tp", "--trials", "64"],
+        ["opt-tp", "--seed", "1"],
+    ], ids=lambda args: " ".join(args[:2]))
+    def test_dropped_flag_is_usage_error(self, tmp_path, args):
+        res = _run([*args, "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "no such option" in res.output.lower()
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args, dropped", [
+        (["nmse", "--snr-db-step", "35", "--delta", "0.1", "--trials", "64"],
+         {"receiver": "zf"}),
+        (["outage", "--config", "2x4", "--delta", "0.1", "--threshold-db-step", "25",
+          "--trials", "64"],
+         {"t": 20, "snr_db_min": 0.0, "snr_db_max": 10.0, "snr_db_step": 5.0}),
+        (["opt-tp", "--snr-db-step", "25", "--delta", "0.1", "--receiver", "mmse"],
+         {"tp": 8, "trials": 64, "seed": 12345}),
+    ], ids=["nmse", "outage", "opt-tp"])
+    def test_verify_ignores_dropped_keys(self, tmp_path, args, dropped):
+        # Manifests written while these flags existed carry their keys.
+        assert _run([*args, "--out", str(tmp_path)]).exit_code == 0
+        mpath = next(tmp_path.glob("*.manifest.json"))
+        manifest = json.loads(mpath.read_text())
+        manifest["params"].update(dropped)
+        mpath.write_text(json.dumps(manifest))
+        res = _run(["verify", str(mpath)])
+        assert res.exit_code == 0, res.output
+
 
 class TestErrorPaths:
     def test_infeasible_tp_is_usage_error(self, tmp_path):
@@ -451,14 +543,14 @@ class TestErrorPaths:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("args", [
-        ["nmse", "--snr-db-step", "1e-300"],
+        ["nmse", "--snr-db-step", "1e-300", "--trials", "64"],
         ["opt-tp", "--snr-db-min", "-1e308", "--snr-db-max", "1e308"],
-        ["outage", "--threshold-db-step", "4.9e-5"],
+        ["outage", "--threshold-db-step", "4.9e-5", "--trials", "64"],
     ], ids=["tiny-step", "overflowing-span", "just-over"])
     def test_oversized_grid_is_usage_error(self, tmp_path, args):
         # Refused before a point is built: the grids would take ~7e301
         # points, an overflow to inf, and 1 020 409 points.
-        res = _run([*args, "--trials", "64", "--out", str(tmp_path)])
+        res = _run([*args, "--out", str(tmp_path)])
         assert res.exit_code == 2, res.output
         assert "points, more than 1000000" in res.output
         assert not list(tmp_path.iterdir())
@@ -469,10 +561,10 @@ class TestErrorPaths:
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(1.0, rel=1e-12)
 
     def test_accuracy_error_maps_to_exit_3(self, tmp_path, monkeypatch):
-        def boom(params):
+        def boom(subcommand, params):
             raise AccuracyError("quadrature failed to converge")
 
-        monkeypatch.setitem(cli._RUNNERS, "nmse", boom)
+        monkeypatch.setattr(cli, "_tables", boom)
         res = _run([
             "nmse", "--nt", "4", "--nr", "4", "--t", "100", "--tp", "4",
             "--delta", "0", "--snr-db-min", "0", "--snr-db-max", "0",

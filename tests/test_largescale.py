@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mimolink import Receiver, SystemConfig, db_to_linear
+from mimolink.analytic import rate_scan
 from mimolink.largescale import (
     AsymptoticParams,
     _mmse_fixed_point,
@@ -220,3 +221,25 @@ class TestRmtLemmaChecks:
             rmt_lemma_check("inversion", 1, RandomStream(1))
         with pytest.raises(ValueError):
             rmt_lemma_check("unknown-lemma", 8, RandomStream(1))
+
+
+class TestLargeSystemLaw:
+    """The exact rate tends to its deterministic equivalent as the array grows
+    at fixed beta = nr/nt, checked without Monte Carlo noise: the quadrature
+    engine's scan against ``det_rate_scan`` at beta=2, delta=.1, 10 dB,
+    t=400."""
+
+    @pytest.mark.parametrize("receiver", list(Receiver))
+    def test_gap_halves_per_doubling(self, receiver):
+        gaps, stars = [], []
+        for nt in (4, 8, 16, 32, 64):
+            cfg = SystemConfig(nt=nt, nr=2 * nt, t=400, tp=nt,
+                               rho=db_to_linear(10), delta=0.1)
+            exact, det = rate_scan(receiver, cfg), det_rate_scan(receiver, cfg)
+            gaps.append(float(np.max(np.abs(exact - det) / exact)))
+            stars.append((int(np.argmax(exact)), int(np.argmax(det))))
+        # A 1/nt law: each doubling of nt measured a ratio of 0.50-0.53.
+        ratios = np.array(gaps[1:]) / np.array(gaps[:-1])
+        assert np.all((ratios > 0.4) & (ratios < 0.6)), gaps
+        # The extra training vanishes: tp* agrees from nt = 32 on.
+        assert stars[3][0] == stars[3][1] and stars[4][0] == stars[4][1], stars

@@ -79,17 +79,21 @@ def test_cli_sweeps_call_through_module_globals(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(cli, name, counting)
-    small = ["--delta", "0.1", "--snr-db-min", "10", "--snr-db-max", "10",
-             "--trials", "64", "--seed", "1", "--receiver", "mmse"]
+    # Each run passes only the flags its subcommand takes.
+    mc = ["--delta", "0.1", "--trials", "64", "--seed", "1"]
+    snr = ["--snr-db-min", "10", "--snr-db-max", "10"]
+    mmse = ["--receiver", "mmse"]
     runs = [
-        ["nmse", "--nt", "2", "--nr", "2", "--t", "20", "--tp", "2"],
+        ["nmse", "--nt", "2", "--nr", "2", "--t", "20", "--tp", "2", *mc, *snr],
         ["outage", "--config", "2x4", "--threshold-db-min", "0",
-         "--threshold-db-max", "0"],
-        ["rates", "--nt", "2", "--nr", "2", "--t", "20"],
-        ["rates", "--nt", "2", "--nr", "2", "--t", "20", "--tp", "4"],
-        ["asymptotic", "--mode", "both", "--config", "2x8", "--t", "40"],
+         "--threshold-db-max", "0", *mc, *mmse],
+        ["rates", "--nt", "2", "--nr", "2", "--t", "20", *mc, *snr, *mmse],
+        ["rates", "--nt", "2", "--nr", "2", "--t", "20", "--tp", "4", *mc, *snr,
+         *mmse],
+        ["asymptotic", "--mode", "both", "--config", "2x8", "--t", "40", *mc,
+         *snr, *mmse],
     ]
     for args in runs:
-        res = CliRunner().invoke(cli.main, [*args, *small, "--out", str(tmp_path)])
+        res = CliRunner().invoke(cli.main, [*args, "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
     assert called == set(names)

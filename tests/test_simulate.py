@@ -349,6 +349,20 @@ class TestOutageAndRate:
         with pytest.raises(ValueError):
             empirical_outage(s, -1.0)
 
+    def test_outage_array_equals_scalar(self):
+        cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=10.0, delta=0.1)
+        s = sample_sinr(cfg, Receiver.MMSE, 1000, RandomStream(62))
+        # Sample values themselves probe the ties (at or below counts).
+        x = np.concatenate([[0.0, np.inf], np.sort(s.samples, axis=None)[::97],
+                            np.geomspace(1e-3, 1e3, 50)])
+        got = empirical_outage(s, x)
+        assert got.tolist() == [empirical_outage(s, v) for v in x.tolist()]
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                empirical_outage(s, np.array([1.0, bad]))
+        with pytest.raises(ValueError):
+            empirical_outage(s, np.nan)
+
     def test_rate_definition(self):
         cfg = SystemConfig(nt=4, nr=4, t=100, tp=10, rho=10.0, delta=0.05)
         rate = empirical_rate(cfg, Receiver.MMSE, 2000, RandomStream(71))
