@@ -30,7 +30,6 @@ from .config import (
     linear_to_db,
 )
 from .largescale import (
-    AsymptoticParams,
     det_rate,
     det_rate_scan,
     det_sinr,
@@ -52,10 +51,8 @@ from .simulate import (
     validate_sinr_end_to_end,
 )
 from .special import (
-    CoefficientTable,
     build_coefficients,
     exp_integral_en_scaled,
-    log_tricomi_u,
     tricomi_u,
 )
 from .training import TpSearchResult, optimize_tp_asymptotic, optimize_tp_exact
@@ -65,8 +62,6 @@ __version__ = "0.2.0"
 __all__ = [
     "__version__",
     "AccuracyError",
-    "AsymptoticParams",
-    "CoefficientTable",
     "DerivedParams",
     "RandomStream",
     "Receiver",
@@ -88,7 +83,6 @@ __all__ = [
     "gen_pilot_matrix",
     "linear_to_db",
     "lmmse_estimate",
-    "log_tricomi_u",
     "optimize_tp_asymptotic",
     "optimize_tp_exact",
     "outage",

@@ -61,7 +61,6 @@ from .config import (
 from .quadrature import _X_HI, integrate_family
 from .quadrature import integrate  # noqa: F401  (unused; wrapped by perfbench/spans.py)
 from .special import (
-    CoefficientTable,
     _lchoose,
     _log_factorial,
     build_coefficients,
@@ -95,7 +94,7 @@ _SEED_KNOTS = 12
 
 
 @lru_cache(maxsize=128)
-def _table(nt: int, nr: int, c0: float, delta: float) -> CoefficientTable:
+def _table(nt: int, nr: int, c0: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
     return build_coefficients(nt, nr, c0, delta)
 
 
@@ -313,13 +312,13 @@ def _closed_form_terms(
         with np.errstate(divide="ignore"):
             return np.ones_like(mags), np.log(mags)
 
-    tab = _table(nt, nr, c0, delta)
+    log_alpha, log_beta = _table(nt, nr, c0, delta)
     if receiver is Receiver.MMSE:
-        base = tab.log_beta + _log_factorial(k_all)  # (k,)
+        base = log_beta + _log_factorial(k_all)  # (k,)
         n_of_row = np.full(nr, nt)
     else:  # MRC: flatten admissible (p, k) pairs
-        p_idx, k_idx = np.nonzero(np.isfinite(tab.log_alpha))
-        base = tab.log_alpha[p_idx, k_idx] + _log_factorial(k_idx)
+        p_idx, k_idx = np.nonzero(np.isfinite(log_alpha))
+        base = log_alpha[p_idx, k_idx] + _log_factorial(k_idx)
         n_of_row = nt + p_idx
         k_all = k_idx
 

@@ -261,11 +261,9 @@ def _nmse(p: dict):
         snr_db, delta = point
         cfg = SystemConfig(nt=p["nt"], nr=p["nr"], t=p["t"], tp=p["tp"],
                            rho=db_to_linear(snr_db), delta=delta)
-        floor = 0.0 if delta == 0.0 else 1.0 / (
-            1.0 + cfg.tp / (cfg.nt * delta * delta)
-        )
+        dp = derive_params(cfg)
         emp = empirical_nmse(cfg, p["trials"], _point_stream(p["seed"], i))
-        return [[snr_db, delta, derive_params(cfg).sigma2_err, floor, emp]]
+        return [[snr_db, delta, dp.sigma2_err, dp.sigma2_err_floor, emp]]
 
     points = [(s, d) for s in _grid(p, "snr_db") for d in p["delta"]]
     return points, work, ["snr_dB", "delta", "nmse_analytic", "nmse_floor",
@@ -328,7 +326,8 @@ def _rates(p: dict):
         cfg = base.with_tp(tp_star)
         emp = empirical_rate(cfg, receiver, p["trials"],
                              _point_stream(p["seed"], i))
-        ceil = None if delta == 0.0 else ceiling(receiver, cfg)
+        # Empty exactly where rate_ceiling has no value: delta**2 == 0.
+        ceil = None if delta * delta == 0.0 else ceiling(receiver, cfg)
         return [[snr_db, str(receiver), delta, analytic, emp, ceil, tp_star]]
 
     receivers = _receivers(p["receiver"])
@@ -654,7 +653,11 @@ def verify(manifest: str, keep: str | None) -> None:
     subcommand = doc.get("subcommand")
     if subcommand not in _SUBCOMMANDS:
         raise click.UsageError(f"manifest names unknown subcommand {subcommand!r}")
-    params = doc["params"]
+    params = doc.get("params", {})
+    missing = PRESETS[_SUBCOMMANDS[subcommand]["preset"]]["params"].keys() - params
+    if missing:
+        raise click.UsageError(
+            f"manifest params lack {', '.join(sorted(missing))} for {subcommand}")
 
     def replay(target: Path) -> dict[str, str]:
         tables = _tables(subcommand, params)

@@ -143,13 +143,15 @@ class DerivedParams:
             expression; strictly decreasing in SNR.
         c0_bar: high-SNR limit of ``c0`` (finite only because of the
             impairments; 0 for ideal hardware).
+        sigma2_err_floor: high-SNR limit of ``sigma2_err``,
+            ``1 / (1 + tp / (nt * delta**2))`` (0 for ideal hardware).
         c1: large-system counterpart of ``c0`` (equals ``c0 / nt``).
         beta: receive-to-transmit antenna ratio ``nr / nt``.
-        d: auxiliary scalar of the large-system MMSE fixed point,
-            ``c1 / (1 + delta**2) + 1 - beta``.
 
-    Built by :func:`derive_params_at` with an array of training lengths,
-    every field but ``beta`` is an array with one entry per length.
+    ``beta`` and ``c1`` are the inputs of the large-system equivalents
+    (:func:`mimolink.largescale.det_sinr`).  Built by
+    :func:`derive_params_at` with an array of training lengths, every field
+    that depends on ``tp`` is an array with one entry per length.
     """
 
     epsilon: float
@@ -157,9 +159,9 @@ class DerivedParams:
     sigma2_est: float
     c0: float
     c0_bar: float
+    sigma2_err_floor: float
     c1: float
     beta: float
-    d: float
 
 
 def derive_params(cfg: SystemConfig) -> DerivedParams:
@@ -194,10 +196,11 @@ def derive_params_at(cfg: SystemConfig, tp: int | np.ndarray) -> DerivedParams:
 
     c0 = nt * (rho + rho * d2 + 1.0 + epsilon) / (rho * epsilon)
     c0_bar = d2 * (1.0 + d2) * nt * nt / tp
+    # Rounded as nt * delta * delta: the bits the nmse floor column has had.
+    sigma2_err_floor = 0.0 if d2 == 0.0 else 1.0 / (1.0 + tp / (nt * delta * delta))
 
     c1 = (rho + rho * d2 + 1.0 + epsilon) / (rho * epsilon)
     beta = cfg.nr / nt
-    d = c1 / (1.0 + d2) + 1.0 - beta
 
     return DerivedParams(
         epsilon=epsilon,
@@ -205,9 +208,9 @@ def derive_params_at(cfg: SystemConfig, tp: int | np.ndarray) -> DerivedParams:
         sigma2_est=sigma2_est,
         c0=c0,
         c0_bar=c0_bar,
+        sigma2_err_floor=sigma2_err_floor,
         c1=c1,
         beta=beta,
-        d=d,
     )
 
 

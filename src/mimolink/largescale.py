@@ -4,11 +4,13 @@ When both antenna counts grow with a fixed ratio ``beta = nr/nt``, the
 per-stream SINRs of all three receivers stop fluctuating: they converge
 almost surely to deterministic equivalents that depend only on
 ``(beta, c1, delta)``, where ``c1 = c0/nt`` stays finite in the limit.
-This module evaluates those equivalents, the associated deterministic rate
-(at one training length, or at every feasible one in a single numpy pass for
-the training-length search), the common large-``beta`` limit, and ships a
-property-check harness for the random-matrix identities the derivation
-rests on.
+:func:`det_sinr` takes ``beta`` and ``c1`` as plain arguments; they come
+from :func:`~mimolink.config.derive_params_at`, the one home of the derived
+scalars.  This module evaluates those equivalents, the associated
+deterministic rate (at one training length, or at every feasible one in a
+single numpy pass for the training-length search), the common
+large-``beta`` limit, and ships a property-check harness for the
+random-matrix identities the derivation rests on.
 
 The MMSE equivalent solves the quadratic fixed point
 ``s m^2 + d m - beta = 0`` with ``s = c1/(1+delta^2)`` and
@@ -22,15 +24,13 @@ which pins the normalization of the quadratic's leading coefficient).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Receiver, SystemConfig, derive_params_at
+from .config import AccuracyError, Receiver, SystemConfig, derive_params_at
 from .simulate import RandomStream, _cn
 
 __all__ = [
-    "AsymptoticParams",
     "det_sinr",
     "det_sinr_limit",
     "det_rate",
@@ -39,66 +39,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """Inputs of the deterministic equivalents.
-
-    ``beta`` is the receive/transmit antenna ratio (>= 1; ZF additionally
-    needs beta > 1), ``c1`` the per-transmit-antenna noise-scaling factor,
-    ``epsilon_bar`` the training SNR gain, and ``d = c1/(1+delta^2)+1-beta``
-    the linear coefficient of the MMSE fixed-point quadratic.  ``c1``,
-    ``epsilon_bar`` and ``d`` may be arrays of one shape (one entry per
-    training length); :func:`det_sinr` then broadcasts over them.
-    """
-
-    beta: float
-    c1: float
-    epsilon_bar: float
-    d: float
-
-    def __post_init__(self) -> None:
-        if not self.beta >= 1.0:
-            raise ValueError(f"need beta >= 1, got {self.beta}")
-        if not np.all(self.c1 > 0.0):
-            raise ValueError(f"need c1 > 0, got {self.c1}")
-
-    @classmethod
-    def from_config(
-        cls, cfg: SystemConfig, tp: int | np.ndarray | None = None
-    ) -> "AsymptoticParams":
-        """Parameters of ``cfg``, at training length(s) ``tp`` if given."""
-        dp = derive_params_at(cfg, cfg.tp if tp is None else tp)
-        return cls(beta=dp.beta, c1=dp.c1, epsilon_bar=dp.epsilon, d=dp.d)
-
-
-def _mmse_m(ap: AsymptoticParams, delta: float) -> float | np.ndarray:
+def _mmse_m(beta: float, c1, delta: float) -> float | np.ndarray:
     """Closed solution of the MMSE fixed-point quadratic s m^2 + d m = beta."""
-    s = ap.c1 / (1.0 + delta * delta)
+    s = c1 / (1.0 + delta * delta)
+    d = s + 1.0 - beta
     # np.sqrt broadcasts and, like math.sqrt, is correctly rounded.
-    return (-ap.d + np.sqrt(ap.d * ap.d + 4.0 * ap.beta * s)) / (2.0 * s)
+    return (-d + np.sqrt(d * d + 4.0 * beta * s)) / (2.0 * s)
 
 
 def _mmse_fixed_point(
-    ap: AsymptoticParams, delta: float, tol: float = 1e-13, max_iter: int = 100000
+    beta: float, c1: float, delta: float, tol: float = 1e-13, max_iter: int = 100000
 ) -> float:
     """Iterate ``s m = (beta - 1) + 1/(1 + m)`` to its positive fixed point.
 
     Exists as an independent cross-check of :func:`_mmse_m`; the two must
     agree to ~1e-8 or better for every valid parameter set.
     """
-    s = ap.c1 / (1.0 + delta * delta)
-    m = ap.beta / (s + 1.0)  # any positive start converges (contraction)
+    s = c1 / (1.0 + delta * delta)
+    m = beta / (s + 1.0)  # any positive start converges (contraction)
     for _ in range(max_iter):
-        nxt = ((ap.beta - 1.0) + 1.0 / (1.0 + m)) / s
+        nxt = ((beta - 1.0) + 1.0 / (1.0 + m)) / s
         if abs(nxt - m) <= tol * max(1.0, abs(nxt)):
             return nxt
         m = nxt
-    raise RuntimeError("MMSE fixed-point iteration did not converge")
+    raise AccuracyError("MMSE fixed-point iteration did not converge")
 
 
-def det_sinr(
-    receiver: Receiver, ap: AsymptoticParams, delta: float
-) -> float | np.ndarray:
+def det_sinr(receiver: Receiver, beta: float, c1, delta: float) -> float | np.ndarray:
     """Deterministic equivalent of the per-stream SINR in the large-antenna
     limit at fixed ``beta``.
 
@@ -106,19 +73,24 @@ def det_sinr(
     ``beta/(1 + delta^2 + c1 + delta^2 beta)``; MMSE: via the fixed-point
     solution ``m`` as ``m/(1 + delta^2 + delta^2 m)``.  All three stay
     strictly below the distortion wall ``1/delta^2`` for finite beta.
-    Array-valued ``ap`` fields give an array of SINRs.
+    ``beta`` and ``c1`` are the fields of :class:`DerivedParams`; an array
+    ``c1`` (one entry per training length) gives an array of SINRs.
     """
+    if not beta >= 1.0:
+        raise ValueError(f"need beta >= 1, got {beta}")
+    if not np.all(c1 > 0.0):
+        raise ValueError(f"need c1 > 0, got {c1}")
     d2 = delta * delta
     if receiver is Receiver.ZF:
-        if not ap.beta > 1.0:
+        if not beta > 1.0:
             raise ValueError(
-                f"the ZF deterministic equivalent needs beta > 1, got beta={ap.beta}"
+                f"the ZF deterministic equivalent needs beta > 1, got beta={beta}"
             )
-        return (ap.beta - 1.0) / (d2 * (ap.beta - 1.0) + ap.c1)
+        return (beta - 1.0) / (d2 * (beta - 1.0) + c1)
     if receiver is Receiver.MRC:
-        return ap.beta / (1.0 + d2 + ap.c1 + d2 * ap.beta)
+        return beta / (1.0 + d2 + c1 + d2 * beta)
     if receiver is Receiver.MMSE:
-        m = _mmse_m(ap, delta)
+        m = _mmse_m(beta, c1, delta)
         return m / (1.0 + d2 + d2 * m)
     raise ValueError(f"unknown receiver: {receiver!r}")
 
@@ -133,7 +105,8 @@ def det_sinr_limit(delta: float) -> float:
 
 def _det_rate(receiver: Receiver, cfg: SystemConfig, tp, log2):
     """The rate formula at training length(s) ``tp``, an int or an array."""
-    gbar = det_sinr(receiver, AsymptoticParams.from_config(cfg, tp), cfg.delta)
+    dp = derive_params_at(cfg, tp)
+    gbar = det_sinr(receiver, dp.beta, dp.c1, cfg.delta)
     return (1.0 - tp / cfg.t) * cfg.nt * log2(1.0 + gbar)
 
 

@@ -27,7 +27,6 @@ documented rather than fought.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -38,9 +37,7 @@ from .quadrature import _X_HI, integrate_family
 __all__ = [
     "exp_integral_en_scaled",
     "tricomi_u",
-    "log_tricomi_u",
     "log_tricomi_u_family",
-    "CoefficientTable",
     "build_coefficients",
 ]
 
@@ -231,11 +228,6 @@ def log_tricomi_u_family(ab_pairs: np.ndarray, z: float) -> np.ndarray:
     return scale + np.log(vals) - _log_factorial(a - 1.0) - a * math.log(z)
 
 
-def log_tricomi_u(a: int, b: int, z: float) -> float:
-    """``log U(a, b; z)`` for a single integer pair; see the family version."""
-    return float(log_tricomi_u_family(np.array([[a, b]]), z)[0])
-
-
 def tricomi_u(a: int, b: int, z: float) -> float:
     """Tricomi confluent hypergeometric function of the second kind.
 
@@ -245,13 +237,13 @@ def tricomi_u(a: int, b: int, z: float) -> float:
     the integral form does not), and ``z > 0``.  Relative error <= ~1e-10.
 
     Values outside the double range come back as 0.0 / inf; use
-    :func:`log_tricomi_u` when the magnitude itself is the point.
+    :func:`log_tricomi_u_family` when the magnitude itself is the point.
     """
     if a < 1:
         raise ValueError(f"U first parameter must be >= 1, got a={a}")
     if not z > 0:
         raise ValueError(f"U argument must be > 0, got z={z}")
-    return math.exp(log_tricomi_u(a, b, z))
+    return math.exp(log_tricomi_u_family(np.array([[a, b]]), z)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -273,44 +265,18 @@ def _lchoose(n: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Coefficients of the SINR distribution series for one parameter set.
-
-    ``log_alpha[p, k]`` holds ``log alpha_{p,k}`` for ``0 <= p <= k < nr``
-    (``-inf`` marks structural zeros), ``log_beta[k]`` holds ``log beta_k``.
-    Log storage is deliberate: the raw coefficients overflow doubles already
-    around nr ~ 200 when c0 is small, so finiteness is guaranteed (and
-    asserted) on the log representation.  The ``alpha`` / ``beta`` properties
-    give linear views for small problems.
-    """
-
-    nt: int
-    nr: int
-    c0: float
-    delta: float
-    log_alpha: np.ndarray
-    log_beta: np.ndarray
-
-    @property
-    def alpha(self) -> np.ndarray:
-        """Linear alpha table (overflows to inf past the double range)."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_alpha)
-
-    @property
-    def beta(self) -> np.ndarray:
-        """Linear beta table (overflows to inf past the double range)."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_beta)
-
-
-def build_coefficients(nt: int, nr: int, c0: float, delta: float) -> CoefficientTable:
+def build_coefficients(
+    nt: int, nr: int, c0: float, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Build the coefficient tables entering the SINR CDF series.
 
     alpha_{p,k} = C(nt+p-2, p) * ((1+delta^2)/c0)^p / (k-p)!
     beta_k      = sum_{p=max(0, k-nt+1)}^{k}
                       C(nt-1, k-p) * (c0/(1+delta^2))^{p-k} / p!
+
+    Returns ``(log_alpha, log_beta)`` of shapes (nr, nr) and (nr,), natural
+    logs with ``-inf`` at the structural zeros ``p > k``: the raw values
+    overflow doubles already around nr ~ 200 when c0 is small.
 
     Args:
         nt: transmit-antenna count, >= 1.
@@ -342,6 +308,4 @@ def build_coefficients(nt: int, nr: int, c0: float, delta: float) -> Coefficient
 
     if not np.all(np.isfinite(log_beta)):
         raise AccuracyError("beta coefficient table has a non-finite log entry")
-    return CoefficientTable(
-        nt=nt, nr=nr, c0=c0, delta=delta, log_alpha=log_alpha, log_beta=log_beta
-    )
+    return log_alpha, log_beta

@@ -34,7 +34,6 @@ from mimolink.analytic import (
 )
 from mimolink.cli import main as cli_main
 from mimolink.largescale import (
-    AsymptoticParams,
     det_rate,
     det_sinr,
     det_sinr_limit,
@@ -430,11 +429,9 @@ def test_criterion_09_det_equivalents():
 
 def test_criterion_10_corollary_limit():
     delta = 0.1
-    ap = AsymptoticParams(
-        beta=1e6, c1=0.21, epsilon_bar=10.0, d=0.21 / 1.01 + 1 - 1e6
-    )
     worst = max(
-        abs(det_sinr(r, ap, delta) - det_sinr_limit(delta)) / det_sinr_limit(delta)
+        abs(det_sinr(r, 1e6, 0.21, delta) - det_sinr_limit(delta))
+        / det_sinr_limit(delta)
         for r in Receiver
     )
     ok = worst <= 0.001

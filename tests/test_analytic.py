@@ -146,6 +146,42 @@ class TestSinrCdfProperties:
             assert sinr_cdf(receiver, cfg, 1.0 / cfg.delta**2) == 1.0
 
 
+@st.composite
+def _link(draw):
+    """A receiver and a link of up to 16x16 antennas."""
+    receiver = draw(st.sampled_from(list(Receiver)))
+    nt = draw(st.integers(1, 16))
+    nr = draw(st.integers(nt if receiver is Receiver.ZF else 1, 16))
+    tp = draw(st.integers(nt, nt + 8))
+    rho = db_to_linear(draw(st.floats(-10.0, 60.0)))
+    delta = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3)))
+    return receiver, _cfg(nt, nr, tp, rho, delta)
+
+
+class TestDistributionAndRateProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_link(), st.lists(st.floats(0.0, 1e4), min_size=1, max_size=24))
+    def test_cdf_over_thresholds_is_nondecreasing_in_unit_interval(self, link, gammas):
+        # The CDF is 1 - S, with S a sum of up to 16 mixture terms near 1 in
+        # the lower tail, so it is exact only to a few 1e-15 there (steps
+        # down of up to 5.9e-15 seen over 6000 random links).
+        receiver, cfg = link
+        f = sinr_cdf(receiver, cfg, np.sort(gammas))
+        assert np.all((f >= 0.0) & (f <= 1.0))
+        assert np.all(np.diff(f) >= -1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_link(), st.floats(0.0, 30.0))
+    def test_rate_below_ceiling_and_nondecreasing_in_rho(self, link, gain_db):
+        # The engine meets rel_tol 1e-10 per value; 1e-9 covers two of them.
+        receiver, cfg = link
+        rate = rate_quadrature(receiver, cfg)
+        louder = rate_quadrature(receiver, cfg.with_rho(cfg.rho * db_to_linear(gain_db)))
+        assert 0.0 < rate <= louder * (1.0 + 1e-9)
+        if cfg.delta > 0.0:
+            assert louder <= rate_ceiling(receiver, cfg) * (1.0 + 1e-9)
+
+
 class TestRateClosedVsQuadrature:
     def test_random_configs_agree(self):
         rng = np.random.default_rng(17)

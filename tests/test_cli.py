@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,17 @@ class TestNmseCommand:
         manifest = json.loads((tmp_path / "nmse.manifest.json").read_text())
         assert manifest["subcommand"] == "nmse"
         assert "nmse.csv" in manifest["files"]
+
+    def test_vanishing_delta_has_a_zero_floor(self, tmp_path):
+        # delta = 1e-200 squares to 0 in doubles: ideal hardware, floor 0.
+        res = _run([
+            "nmse", "--delta", "1e-200", "--snr-db-min", "10", "--snr-db-max", "10",
+            "--trials", "64", "--out", str(tmp_path),
+        ])
+        assert res.exit_code == 0, res.output
+        _, rows = _read_csv(tmp_path / "nmse.csv")
+        assert [float(r[3]) for r in rows] == [0.0]
+        assert all(math.isfinite(float(c)) for c in rows[0])
 
     def test_seventeen_digit_round_trip(self, tmp_path):
         res = _run([
@@ -137,6 +149,21 @@ class TestRatesCommand:
         assert res.exit_code == 0, res.output
         _, rows = _read_csv(tmp_path / "rates.csv")
         assert all(r[6] == "8" for r in rows)
+
+    def test_vanishing_delta_leaves_the_ceiling_empty(self, tmp_path):
+        # rate_ceiling has no value where delta**2 == 0 in doubles, and the
+        # CLI leaves the cell empty on exactly that test.
+        res = _run([
+            "rates", "--delta", "1e-200", "--tp", "8", "--snr-db-min", "10",
+            "--snr-db-max", "10", "--trials", "64", "--out", str(tmp_path),
+        ])
+        assert res.exit_code == 0, res.output
+        _, rows = _read_csv(tmp_path / "rates.csv")
+        assert len(rows) == 3
+        for row in rows:
+            assert row[5] == ""
+            assert all(math.isfinite(float(c)) for i, c in enumerate(row)
+                       if i not in (1, 5))
 
     def test_json_output_with_null_ceiling(self, tmp_path):
         res = _run([
@@ -255,6 +282,18 @@ class TestReproducibilityAndVerify:
         assert "MISMATCH  nmse.csv" in res.output
         assert f"manifest from mimolink 0.1.0, running {__version__}" in res.output
         assert __version__ != "0.1.0"
+
+
+    def test_verify_names_missing_params(self, tmp_path):
+        assert _run(self._fast_nmse(tmp_path)).exit_code == 0
+        mpath = tmp_path / "nmse.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        del manifest["params"]["seed"], manifest["params"]["t"]
+        mpath.write_text(json.dumps(manifest))
+        res = _run(["verify", str(mpath)])
+        assert res.exit_code == 2, res.output
+        assert "manifest params lack seed, t for nmse" in res.output
+        assert "Traceback" not in res.output
 
 
 class TestGoldenDigests:

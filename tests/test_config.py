@@ -146,11 +146,19 @@ class TestDerivedParams:
         c0s = [derive_params(base.with_rho(r)).c0 for r in [0.1, 1.0, 10.0, 1e3, 1e6]]
         assert all(a > b for a, b in zip(c0s, c0s[1:]))
 
-    def test_beta_and_d(self):
+    def test_beta_and_sigma2_err_floor(self):
         cfg = SystemConfig(nt=4, nr=16, t=200, tp=8, rho=10.0, delta=0.1)
-        dp = derive_params(cfg)
-        assert dp.beta == 4.0
-        assert dp.d == pytest.approx(dp.c1 / 1.01 + 1.0 - 4.0, rel=1e-15)
+        assert derive_params(cfg).beta == 4.0
+        # 4x4, tp=4, delta=0.1: tp/(nt delta^2) = 100, so the floor is 1/101
+        # at any SNR, and sigma2_err reaches it from above as rho grows.
+        cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=0.1)
+        assert derive_params(cfg).sigma2_err_floor == pytest.approx(1 / 101, rel=1e-14)
+        high = derive_params(cfg.with_rho(1e12))
+        assert high.sigma2_err > high.sigma2_err_floor
+        assert high.sigma2_err == pytest.approx(high.sigma2_err_floor, rel=1e-9)
+        for delta in (0.0, 1e-200):  # delta**2 == 0 in doubles: ideal hardware
+            ideal = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=delta)
+            assert derive_params(ideal).sigma2_err_floor == 0.0
 
     def test_c1_is_c0_over_nt(self):
         cfg = SystemConfig(nt=5, nr=30, t=100, tp=7, rho=3.7, delta=0.05)

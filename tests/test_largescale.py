@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from mimolink import Receiver, SystemConfig, db_to_linear
+from mimolink import (
+    AccuracyError,
+    Receiver,
+    SystemConfig,
+    db_to_linear,
+    derive_params,
+    derive_params_at,
+)
 from mimolink.analytic import rate_scan
 from mimolink.largescale import (
-    AsymptoticParams,
     _mmse_fixed_point,
     _mmse_m,
     det_rate,
@@ -20,51 +26,62 @@ from mimolink.largescale import (
 from mimolink.simulate import RandomStream
 
 
-def _ap(beta, c1, delta, epsilon_bar=10.0):
-    return AsymptoticParams(
-        beta=beta, c1=c1, epsilon_bar=epsilon_bar, d=c1 / (1 + delta**2) + 1 - beta
-    )
-
-
-class TestAsymptoticParams:
-    def test_from_config_matches_derived(self):
-        cfg = SystemConfig(nt=32, nr=64, t=500, tp=32, rho=10.0, delta=0.0)
-        ap = AsymptoticParams.from_config(cfg)
-        assert ap.beta == 2.0
-        assert ap.epsilon_bar == pytest.approx(10.0, rel=1e-14)
-        assert ap.c1 == pytest.approx(0.21, rel=1e-14)
-        assert ap.d == pytest.approx(-0.79, rel=1e-13)
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="beta"):
-            _ap(0.5, 0.2, 0.0)
-        with pytest.raises(ValueError, match="c1"):
-            _ap(2.0, 0.0, 0.0)
-
-
 class TestDetSinr:
     def test_reference_values_beta_two(self):
         # beta=2, c1=0.21, delta=0 (the rho=10, tp=nt operating point):
         # ZF = 1/0.21 = 100/21, MRC = 2/1.21 = 200/121, MMSE via the
         # quadratic  0.21 m^2 - 0.79 m - 2 = 0.
-        ap = _ap(2.0, 0.21, 0.0)
-        assert det_sinr(Receiver.ZF, ap, 0.0) == pytest.approx(100 / 21, rel=1e-14)
-        assert det_sinr(Receiver.MRC, ap, 0.0) == pytest.approx(200 / 121, rel=1e-14)
-        assert det_sinr(Receiver.MMSE, ap, 0.0) == pytest.approx(
+        assert det_sinr(Receiver.ZF, 2.0, 0.21, 0.0) == pytest.approx(100 / 21, rel=1e-14)
+        assert det_sinr(Receiver.MRC, 2.0, 0.21, 0.0) == pytest.approx(
+            200 / 121, rel=1e-14
+        )
+        assert det_sinr(Receiver.MMSE, 2.0, 0.21, 0.0) == pytest.approx(
             5.495062421227851, rel=1e-13
         )
 
+    def test_derive_params_gives_the_inputs(self):
+        cfg = SystemConfig(nt=32, nr=64, t=500, tp=32, rho=10.0, delta=0.0)
+        dp = derive_params(cfg)
+        assert dp.beta == 2.0
+        assert dp.epsilon == pytest.approx(10.0, rel=1e-14)
+        assert dp.c1 == pytest.approx(0.21, rel=1e-14)
+        assert det_sinr(Receiver.ZF, dp.beta, dp.c1, cfg.delta) == pytest.approx(
+            100 / 21, rel=1e-13
+        )
+
+    def test_validation(self):
+        for receiver in Receiver:
+            with pytest.raises(ValueError, match="beta >= 1"):
+                det_sinr(receiver, 0.5, 0.2, 0.0)
+            with pytest.raises(ValueError, match="c1 > 0"):
+                det_sinr(receiver, 2.0, 0.0, 0.0)
+            with pytest.raises(ValueError, match="c1 > 0"):
+                det_sinr(receiver, 2.0, np.array([0.2, -0.1]), 0.0)
+
+    def test_mmse_reference_value_with_distortion(self):
+        # beta=2, c1=0.21, delta=0.3: m is the positive root of
+        # s m^2 + (s - 1) m - 2 = 0 with s = 0.21/1.09, and the SINR is
+        # m/(1.09 + 0.09 m) = 3.6557.
+        s = 0.21 / 1.09
+        m = max(np.roots([s, s - 1.0, -2.0]).real)
+        assert det_sinr(Receiver.MMSE, 2.0, 0.21, 0.3) == pytest.approx(
+            m / (1.09 + 0.09 * m), rel=1e-12
+        )
+
+    def test_fixed_point_raises_accuracy_error(self):
+        with pytest.raises(AccuracyError, match="did not converge"):
+            _mmse_fixed_point(2.0, 0.21, 0.1, max_iter=1)
+
     def test_zf_needs_beta_above_one(self):
-        ap = _ap(1.0, 0.21, 0.0)
         with pytest.raises(ValueError, match="beta > 1"):
-            det_sinr(Receiver.ZF, ap, 0.0)
+            det_sinr(Receiver.ZF, 1.0, 0.21, 0.0)
         # MRC and MMSE are fine at beta = 1.
-        det_sinr(Receiver.MRC, ap, 0.0)
-        det_sinr(Receiver.MMSE, ap, 0.0)
+        det_sinr(Receiver.MRC, 1.0, 0.21, 0.0)
+        det_sinr(Receiver.MMSE, 1.0, 0.21, 0.0)
 
     def test_zf_vanishes_toward_beta_one(self):
         vals = [
-            det_sinr(Receiver.ZF, _ap(b, 0.21, 0.0), 0.0)
+            det_sinr(Receiver.ZF, b, 0.21, 0.0)
             for b in (1.5, 1.1, 1.01, 1.001)
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -76,10 +93,9 @@ class TestDetSinr:
             beta = float(1.0 + 10 ** rng.uniform(-2, 1.5))
             c1 = float(10 ** rng.uniform(-2, 1))
             delta = float(rng.uniform(0.01, 0.3))
-            ap = _ap(beta, c1, delta)
-            zf = det_sinr(Receiver.ZF, ap, delta)
-            mrc = det_sinr(Receiver.MRC, ap, delta)
-            mmse = det_sinr(Receiver.MMSE, ap, delta)
+            zf = det_sinr(Receiver.ZF, beta, c1, delta)
+            mrc = det_sinr(Receiver.MRC, beta, c1, delta)
+            mmse = det_sinr(Receiver.MMSE, beta, c1, delta)
             wall = 1.0 / delta**2
             assert mmse >= zf >= 0 and mmse >= mrc
             assert max(zf, mrc, mmse) < wall
@@ -90,9 +106,8 @@ class TestDetSinr:
         for beta in (1.0, 1.2, 2.0, 4.0, 31.9):
             for c1 in (0.05, 0.21, 1.7, 9.0):
                 for delta in (0.0, 0.05, 0.1, 0.175):
-                    ap = _ap(beta, c1, delta)
-                    closed = _mmse_m(ap, delta)
-                    iterated = _mmse_fixed_point(ap, delta)
+                    closed = _mmse_m(beta, c1, delta)
+                    iterated = _mmse_fixed_point(beta, c1, delta)
                     assert closed == pytest.approx(iterated, rel=1e-8), (
                         beta,
                         c1,
@@ -102,19 +117,18 @@ class TestDetSinr:
     def test_mmse_m_satisfies_fixed_point_residual(self):
         # s*m = (beta-1) + 1/(1+m) must hold at machine precision; this is
         # what selects the correct root normalization.
-        ap = AsymptoticParams.from_config(
+        dp = derive_params(
             SystemConfig(nt=32, nr=64, t=500, tp=32, rho=10.0, delta=0.1)
         )
-        m = _mmse_m(ap, 0.1)
-        s = ap.c1 / 1.01
-        residual = s * m - (ap.beta - 1.0) - 1.0 / (1.0 + m)
+        m = _mmse_m(dp.beta, dp.c1, 0.1)
+        s = dp.c1 / 1.01
+        residual = s * m - (dp.beta - 1.0) - 1.0 / (1.0 + m)
         assert abs(residual) < 1e-12
 
     def test_limit_approached_at_huge_beta(self):
         delta = 0.1
-        ap = _ap(1e6, 0.21, delta)
         for r in Receiver:
-            assert det_sinr(r, ap, delta) == pytest.approx(
+            assert det_sinr(r, 1e6, 0.21, delta) == pytest.approx(
                 det_sinr_limit(delta), rel=1e-3
             )
 
@@ -157,9 +171,9 @@ class TestDetRate:
         assert det_rate(Receiver.MMSE, cfg) < det_rate(
             Receiver.MMSE, cfg.with_tp(50)
         )
+        dp = derive_params(cfg)
         assert det_rate(Receiver.MMSE, cfg) == pytest.approx(
-            0.01 * 4 * math.log2(1 + det_sinr(Receiver.MMSE,
-                AsymptoticParams.from_config(cfg), 0.1)),
+            0.01 * 4 * math.log2(1 + det_sinr(Receiver.MMSE, dp.beta, dp.c1, 0.1)),
             rel=1e-12,
         )
 
@@ -178,12 +192,12 @@ class TestDetRateScan:
     def test_det_sinr_broadcasts(self):
         cfg = SystemConfig(nt=4, nr=8, t=40, tp=4, rho=10.0, delta=0.1)
         tp = np.arange(4, 40)
-        ap = AsymptoticParams.from_config(cfg, tp)
+        c1 = derive_params_at(cfg, tp).c1
         for receiver in Receiver:
-            vec = det_sinr(receiver, ap, 0.1)
+            vec = det_sinr(receiver, 2.0, c1, 0.1)
             for k, g in zip(tp, vec):
-                point = AsymptoticParams.from_config(cfg.with_tp(int(k)))
-                assert g == det_sinr(receiver, point, 0.1)
+                point = derive_params(cfg.with_tp(int(k))).c1
+                assert g == det_sinr(receiver, 2.0, point, 0.1)
 
     def test_zf_needs_beta_above_one(self):
         cfg = SystemConfig(nt=4, nr=4, t=40, tp=4, rho=10.0, delta=0.1)
