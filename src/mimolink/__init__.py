@@ -34,7 +34,6 @@ from .largescale import (
     det_rate_scan,
     det_sinr,
     det_sinr_limit,
-    rmt_lemma_check,
 )
 from .simulate import (
     RandomStream,
@@ -48,12 +47,10 @@ from .simulate import (
     sample_sinr_model,
     sample_sinr_multi,
     simulate_training,
-    validate_sinr_end_to_end,
 )
 from .special import (
     build_coefficients,
     exp_integral_en_scaled,
-    tricomi_u,
 )
 from .training import TpSearchResult, optimize_tp_asymptotic, optimize_tp_exact
 
@@ -91,12 +88,9 @@ __all__ = [
     "rate_low_snr",
     "rate_quadrature",
     "rate_scan",
-    "rmt_lemma_check",
     "sample_sinr",
     "sample_sinr_model",
     "sample_sinr_multi",
     "simulate_training",
     "sinr_cdf",
-    "tricomi_u",
-    "validate_sinr_end_to_end",
 ]

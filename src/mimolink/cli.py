@@ -32,8 +32,8 @@ Presets reproduce the library's reference figures and are the only source
 of defaults.  Parameters are layered: the subcommand's default preset
 (marked *), then ``--preset`` (one of the subcommand's own), then any
 explicitly given flag.  A subcommand takes exactly one flag per key of its
-default preset (``--config`` plus ``--nt``/``--nr`` for ``configs``) and the
-output flags, so a flag no sweep reads is a usage error:
+default preset (``--config`` for ``configs``) and the output flags, so a
+flag no sweep reads is a usage error:
 
 =======  ===========  ====================================================
 preset   subcommand   parameters
@@ -430,9 +430,8 @@ def _tables(subcommand: str, params: dict) -> dict:
 # --------------------------------------------------------------------------
 # Subcommands.  Each is one row of ``_SUBCOMMANDS``: its default preset, its
 # tables and its help.  It takes the ``_FLAGS`` of the keys in its default
-# preset (a preset with ``configs`` also brings ``--nt``/``--nr``, which
-# collapse the list to one configuration), then the output flags; its
-# ``--preset`` offers only its own presets.
+# preset, then the output flags; its ``--preset`` offers only its own
+# presets.
 
 _FLAGS = {
     "mode": click.option("--mode", type=click.Choice(["both", "convergence", "tp"]),
@@ -483,20 +482,12 @@ def _resolve(subcommand: str, preset: str | None, cli: dict) -> dict:
     if preset is not None:
         params.update(PRESETS[preset]["params"])
     configs = cli.pop("configs", ())
-    multi_config = "configs" in params
     for key, value in cli.items():
         if value is None:
             continue
         if key == "delta":
             if len(value) > 0:
                 params["delta"] = [float(v) for v in value]
-        elif key in ("nt", "nr") and multi_config:
-            # An explicit antenna flag collapses a multi-config preset to
-            # the single requested configuration.
-            first = params["configs"][0]
-            nt = cli.get("nt") if cli.get("nt") is not None else first[0]
-            nr = cli.get("nr") if cli.get("nr") is not None else first[1]
-            params["configs"] = [[nt, nr]]
         else:
             params[key] = value
     if configs:
@@ -609,8 +600,6 @@ def main() -> None:
 
 def _command(name: str, spec: dict) -> click.Command:
     keys = PRESETS[spec["preset"]]["params"].keys()
-    if "configs" in keys:
-        keys = {*keys, "nt", "nr"}
     own = sorted(p for p, pre in PRESETS.items() if pre["subcommand"] == name)
     flags = [flag for key, flag in _FLAGS.items() if key in keys] + [
         click.option("--format", "format", type=click.Choice(["csv", "json"]),
@@ -648,12 +637,22 @@ def verify(manifest: str, keep: str | None) -> None:
     to the manifest must be unmodified (DRIFT otherwise).  Exits 0 when
     everything matches byte-for-byte, 1 otherwise.
     """
-    with open(manifest, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(manifest, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise click.UsageError(f"manifest is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise click.UsageError("manifest is not a JSON object")
     subcommand = doc.get("subcommand")
     if subcommand not in _SUBCOMMANDS:
         raise click.UsageError(f"manifest names unknown subcommand {subcommand!r}")
-    params = doc.get("params", {})
+    params, files = doc.get("params"), doc.get("files")
+    if not isinstance(params, dict):
+        raise click.UsageError("manifest has no params object")
+    if not (isinstance(files, dict)
+            and all(isinstance(d, str) for d in files.values())):
+        raise click.UsageError("manifest has no files object of digest strings")
     missing = PRESETS[_SUBCOMMANDS[subcommand]["preset"]]["params"].keys() - params
     if missing:
         raise click.UsageError(
@@ -673,7 +672,7 @@ def verify(manifest: str, keep: str | None) -> None:
 
     run_dir = Path(manifest).parent
     ok, mismatch = True, False
-    for name, digest in sorted(doc["files"].items()):
+    for name, digest in sorted(files.items()):
         got = fresh.get(name)
         if got is None:
             click.echo(f"MISSING   {name}")

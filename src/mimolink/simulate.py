@@ -39,7 +39,6 @@ __all__ = [
     "sample_sinr",
     "sample_sinr_model",
     "sample_sinr_multi",
-    "validate_sinr_end_to_end",
     "empirical_nmse",
     "empirical_rate",
     "empirical_outage",
@@ -351,51 +350,3 @@ def empirical_outage(
         return float(np.mean(samples.samples <= x))
     s = np.sort(samples.samples, axis=None)
     return np.searchsorted(s, x, side="right") / s.size
-
-
-def validate_sinr_end_to_end(
-    cfg: SystemConfig, receiver: Receiver, trials: int, rs: RandomStream
-) -> float:
-    """Cross-check the Gram-matrix SINR forms against first principles.
-
-    Per trial and stream, builds the receiver's weight vector explicitly
-    (ZF: pseudo-inverse column; MRC: estimated channel column; MMSE: solve
-    against the effective-noise covariance), evaluates
-    ``sinr = (rho/nt) |a^H hhat_k|^2 / (a^H R_z a)`` with the conditional
-    covariance ``R_z`` of the interference-plus-distortion-plus-noise term,
-    and returns the maximum relative deviation from the Gram-matrix values.
-    """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    _require_zf_ok(cfg.nt, cfg.nr, receiver)
-    dpar = derive_params(cfg)
-    scale = cfg.rho / cfg.nt
-    noise_var = (cfg.rho + cfg.rho * cfg.delta**2 + 1.0 + dpar.epsilon) / (
-        1.0 + dpar.epsilon
-    )
-    eye = np.eye(cfg.nr)
-    worst = 0.0
-    for g, m in _batches(cfg, trials, rs):
-        hhat = _estimate_batches(cfg, g, m)[1]
-        gram = (hhat.conj().swapaxes(-1, -2) @ hhat) / dpar.sigma2_est
-        reference = _gram_sinr(gram, receiver, dpar, cfg.delta)
-        outer = hhat @ hhat.conj().swapaxes(-1, -2)
-        r_base = scale * (1.0 + cfg.delta**2) * outer + noise_var * eye
-        for k in range(cfg.nt):
-            hk = hhat[:, :, k]
-            r_z = r_base - scale * (hk[:, :, None] @ hk.conj()[:, None, :])
-            if receiver is Receiver.ZF:
-                pinv = np.linalg.solve(
-                    hhat.conj().swapaxes(-1, -2) @ hhat, hhat.conj().swapaxes(-1, -2)
-                )
-                a = pinv[:, k, :].conj()
-            elif receiver is Receiver.MRC:
-                a = hk
-            else:
-                a = np.linalg.solve(r_z, hk[:, :, None])[:, :, 0]
-            num = scale * np.abs(np.einsum("ni,ni->n", a.conj(), hk)) ** 2
-            den = np.einsum("ni,nij,nj->n", a.conj(), r_z, a).real
-            sinr = num / den
-            dev = np.abs(sinr - reference[:, k]) / reference[:, k]
-            worst = max(worst, float(dev.max()))
-    return worst

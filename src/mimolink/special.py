@@ -18,10 +18,6 @@ log-magnitude form internally:
   pairs sharing one ``z``, via a single vectorized adaptive quadrature of the
   Laplace integral representation;
 * coefficient tables store natural-log magnitudes.
-
-The plain-valued wrapper ``tricomi_u`` exponentiates at the boundary and
-therefore under/overflows gracefully outside the double range, which is
-documented rather than fought.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ from .quadrature import _X_HI, integrate_family
 
 __all__ = [
     "exp_integral_en_scaled",
-    "tricomi_u",
     "log_tricomi_u_family",
     "build_coefficients",
 ]
@@ -226,24 +221,6 @@ def log_tricomi_u_family(ab_pairs: np.ndarray, z: float) -> np.ndarray:
     if np.any(vals <= 0) or not np.all(np.isfinite(vals)):
         raise AccuracyError("Tricomi U quadrature produced a non-positive component")
     return scale + np.log(vals) - _log_factorial(a - 1.0) - a * math.log(z)
-
-
-def tricomi_u(a: int, b: int, z: float) -> float:
-    """Tricomi confluent hypergeometric function of the second kind.
-
-    ``U(a, b; z) = (1/Gamma(a)) int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt``
-    for integer ``a >= 1``, any integer ``b`` (the rate formulas use zero and
-    negative ``b``, where the usual two-series Kummer connection degenerates;
-    the integral form does not), and ``z > 0``.  Relative error <= ~1e-10.
-
-    Values outside the double range come back as 0.0 / inf; use
-    :func:`log_tricomi_u_family` when the magnitude itself is the point.
-    """
-    if a < 1:
-        raise ValueError(f"U first parameter must be >= 1, got a={a}")
-    if not z > 0:
-        raise ValueError(f"U argument must be > 0, got z={z}")
-    return math.exp(log_tricomi_u_family(np.array([[a, b]]), z)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from mimolink.largescale import (
     det_rate,
     det_sinr,
     det_sinr_limit,
-    rmt_lemma_check,
 )
 from mimolink.simulate import (
     RandomStream,
@@ -47,7 +46,7 @@ from mimolink.simulate import (
 )
 from mimolink.training import optimize_tp_asymptotic, optimize_tp_exact
 
-from _util import ks_statistic
+from _util import ks_statistic, rmt_lemma_check
 
 TRIALS = 100_000
 SEED = 20240901

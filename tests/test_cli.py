@@ -295,6 +295,40 @@ class TestReproducibilityAndVerify:
         assert "manifest params lack seed, t for nmse" in res.output
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "manifest is not JSON"),
+        ("[1, 2]", "manifest is not a JSON object"),
+        ('{"subcommand": "nmse", "params": [], "files": {}}',
+         "manifest has no params object"),
+    ], ids=["not-json", "array", "params-list"])
+    def test_verify_rejects_a_malformed_document(self, tmp_path, text, message):
+        mpath = tmp_path / "nmse.manifest.json"
+        mpath.write_text(text)
+        res = _run(["verify", str(mpath)])
+        assert res.exit_code == 2, res.output
+        assert message in res.output
+
+    @pytest.mark.parametrize("files", [None, ["nmse.csv"], {"nmse.csv": 5}],
+                             ids=["missing", "list", "non-string-digest"])
+    def test_verify_rejects_bad_files_before_replay(self, tmp_path, monkeypatch,
+                                                    files):
+        assert _run(self._fast_nmse(tmp_path)).exit_code == 0
+        mpath = tmp_path / "nmse.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        if files is None:
+            del manifest["files"]
+        else:
+            manifest["files"] = files
+        mpath.write_text(json.dumps(manifest))
+
+        def replay(subcommand, params):
+            raise AssertionError("verify replayed a manifest it should refuse")
+
+        monkeypatch.setattr(cli, "_tables", replay)
+        res = _run(["verify", str(mpath)])
+        assert res.exit_code == 2, res.output
+        assert "manifest has no files object of digest strings" in res.output
+
 
 class TestGoldenDigests:
     """SHA-256 of output files: fig6 as written before the asymptotic scan
@@ -485,8 +519,6 @@ class TestFlags:
         keys = self._default_keys(name)
         want = {"--config" if k == "configs" else "--" + k.replace("_", "-")
                 for k in keys}
-        if "configs" in keys:
-            want |= {"--nt", "--nr"}
         want |= {"--format", "--out", "--preset", "--emit-plot-script"}
         assert {opt for p in main.commands[name].params for opt in p.opts} == want
 
@@ -522,6 +554,10 @@ class TestFlags:
         ["opt-tp", "--tp", "8"],
         ["opt-tp", "--trials", "64"],
         ["opt-tp", "--seed", "1"],
+        ["outage", "--nt", "2"],
+        ["outage", "--nr", "4"],
+        ["asymptotic", "--nt", "8"],
+        ["asymptotic", "--nr", "16"],
     ], ids=lambda args: " ".join(args[:2]))
     def test_dropped_flag_is_usage_error(self, tmp_path, args):
         res = _run([*args, "--out", str(tmp_path)])

@@ -15,15 +15,33 @@ from mimolink import (
 )
 from mimolink.analytic import rate_scan
 from mimolink.largescale import (
-    _mmse_fixed_point,
     _mmse_m,
     det_rate,
     det_rate_scan,
     det_sinr,
     det_sinr_limit,
-    rmt_lemma_check,
 )
 from mimolink.simulate import RandomStream
+
+from _util import rmt_lemma_check
+
+
+def _mmse_fixed_point(
+    beta: float, c1: float, delta: float, tol: float = 1e-13, max_iter: int = 100000
+) -> float:
+    """Iterate ``s m = (beta - 1) + 1/(1 + m)`` to its positive fixed point.
+
+    Exists as an independent cross-check of :func:`_mmse_m`; the two must
+    agree to ~1e-8 or better for every valid parameter set.
+    """
+    s = c1 / (1.0 + delta * delta)
+    m = beta / (s + 1.0)  # any positive start converges (contraction)
+    for _ in range(max_iter):
+        nxt = ((beta - 1.0) + 1.0 / (1.0 + m)) / s
+        if abs(nxt - m) <= tol * max(1.0, abs(nxt)):
+            return nxt
+        m = nxt
+    raise AccuracyError("MMSE fixed-point iteration did not converge")
 
 
 class TestDetSinr:
@@ -225,10 +243,6 @@ class TestRmtLemmaChecks:
         for n in (8, 64, 256):
             dev = rmt_lemma_check("stieltjes", n, RandomStream(4))
             assert dev <= 1e-10, n
-
-    def test_draws_override(self):
-        dev = rmt_lemma_check("trace", 64, RandomStream(5), draws=3)
-        assert np.isfinite(dev)
 
     def test_validation(self):
         with pytest.raises(ValueError):

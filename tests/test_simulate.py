@@ -15,9 +15,12 @@ from mimolink import (
     sinr_cdf,
 )
 from mimolink import simulate
+from mimolink.config import _require_zf_ok
 from mimolink.simulate import (
     RandomStream,
+    _batches,
     _cn,
+    _estimate_batches,
     _gram_sinr,
     empirical_nmse,
     empirical_outage,
@@ -28,7 +31,6 @@ from mimolink.simulate import (
     sample_sinr_model,
     sample_sinr_multi,
     simulate_training,
-    validate_sinr_end_to_end,
 )
 
 from _util import ks_statistic, run_capped
@@ -312,6 +314,54 @@ class TestSinrSamples:
             sample_sinr(cfg, Receiver.ZF, 100, RandomStream(1))
         # MRC has no such restriction.
         sample_sinr(cfg, Receiver.MRC, 100, RandomStream(1))
+
+
+def validate_sinr_end_to_end(
+    cfg: SystemConfig, receiver: Receiver, trials: int, rs: RandomStream
+) -> float:
+    """Cross-check the Gram-matrix SINR forms against first principles.
+
+    Per trial and stream, builds the receiver's weight vector explicitly
+    (ZF: pseudo-inverse column; MRC: estimated channel column; MMSE: solve
+    against the effective-noise covariance), evaluates
+    ``sinr = (rho/nt) |a^H hhat_k|^2 / (a^H R_z a)`` with the conditional
+    covariance ``R_z`` of the interference-plus-distortion-plus-noise term,
+    and returns the maximum relative deviation from the Gram-matrix values.
+    """
+    if trials < 1:
+        raise ValueError(f"need trials >= 1, got {trials}")
+    _require_zf_ok(cfg.nt, cfg.nr, receiver)
+    dpar = derive_params(cfg)
+    scale = cfg.rho / cfg.nt
+    noise_var = (cfg.rho + cfg.rho * cfg.delta**2 + 1.0 + dpar.epsilon) / (
+        1.0 + dpar.epsilon
+    )
+    eye = np.eye(cfg.nr)
+    worst = 0.0
+    for g, m in _batches(cfg, trials, rs):
+        hhat = _estimate_batches(cfg, g, m)[1]
+        gram = (hhat.conj().swapaxes(-1, -2) @ hhat) / dpar.sigma2_est
+        reference = _gram_sinr(gram, receiver, dpar, cfg.delta)
+        outer = hhat @ hhat.conj().swapaxes(-1, -2)
+        r_base = scale * (1.0 + cfg.delta**2) * outer + noise_var * eye
+        for k in range(cfg.nt):
+            hk = hhat[:, :, k]
+            r_z = r_base - scale * (hk[:, :, None] @ hk.conj()[:, None, :])
+            if receiver is Receiver.ZF:
+                pinv = np.linalg.solve(
+                    hhat.conj().swapaxes(-1, -2) @ hhat, hhat.conj().swapaxes(-1, -2)
+                )
+                a = pinv[:, k, :].conj()
+            elif receiver is Receiver.MRC:
+                a = hk
+            else:
+                a = np.linalg.solve(r_z, hk[:, :, None])[:, :, 0]
+            num = scale * np.abs(np.einsum("ni,ni->n", a.conj(), hk)) ** 2
+            den = np.einsum("ni,nij,nj->n", a.conj(), r_z, a).real
+            sinr = num / den
+            dev = np.abs(sinr - reference[:, k]) / reference[:, k]
+            worst = max(worst, float(dev.max()))
+    return worst
 
 
 class TestEndToEndConsistency:

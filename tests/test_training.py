@@ -1,5 +1,6 @@
 """Tests for the training-length optimizer."""
 
+import math
 import pickle
 import tracemalloc
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from mimolink import Receiver, SystemConfig, db_to_linear
 from mimolink.analytic import rate_closed_form, rate_quadrature, rate_scan
-from mimolink.largescale import det_rate
+from mimolink.largescale import _det_rate, det_rate
 from mimolink.training import (
     SearchTrace,
     TpSearchResult,
@@ -253,6 +254,11 @@ class TestBatchedScanEngine:
         assert got == self.RATE_SCAN_PINNED[snr_db, delta, receiver]
 
 
+def _math_log2(x):
+    """``math.log2`` over an array: the logarithm of the scalar ``det_rate``."""
+    return np.array([math.log2(v) for v in x])
+
+
 class TestOptimizeTpAsymptotic:
     def test_small_t_is_exhaustive(self):
         cfg = SystemConfig(nt=8, nr=16, t=500, tp=8, rho=db_to_linear(10), delta=0.1)
@@ -265,9 +271,12 @@ class TestOptimizeTpAsymptotic:
 
     def test_large_t_ternary_matches_brute_force(self):
         # 50 random large-block configs: the bracketing search must return
-        # exactly the exhaustive argmax while probing far fewer points.
+        # exactly the exhaustive argmax while probing far fewer points.  The
+        # exhaustive rates run the scalar det_rate's arithmetic over an
+        # array of training lengths; the first config checks that they equal
+        # the scalar calls bit for bit.
         rng = np.random.default_rng(23)
-        for _ in range(50):
+        for i in range(50):
             nt = int(rng.integers(2, 17))
             nr = nt * int(rng.integers(2, 5))
             t = int(rng.choice([10_000, 20_000, 50_000]))
@@ -280,11 +289,12 @@ class TestOptimizeTpAsymptotic:
             res = optimize_tp_asymptotic(cfg, receiver)
             assert res.method == "concave-bisection"
             assert len(res.trace) < 200  # far below the ~t-point full scan
-            rates = [det_rate(receiver, cfg.with_tp(tp)) for tp in range(nt, t)]
-            best = max(rates)
-            brute = min(
-                tp for tp, r in zip(range(nt, t), rates) if r == best
-            )
+            rates = _det_rate(receiver, cfg, np.arange(nt, t), _math_log2)
+            if i == 0:
+                assert rates.tolist() == [
+                    det_rate(receiver, cfg.with_tp(tp)) for tp in range(nt, t)
+                ]
+            brute = nt + int(np.argmax(rates))  # the smallest maximizer
             assert res.tp_star == brute, cfg
 
     def test_massive_array_needs_less_training_when_impaired(self):
