@@ -659,7 +659,12 @@ def verify(manifest: str, keep: str | None) -> None:
             f"manifest params lack {', '.join(sorted(missing))} for {subcommand}")
 
     def replay(target: Path) -> dict[str, str]:
-        tables = _tables(subcommand, params)
+        try:
+            tables = _tables(subcommand, params)
+        except (TypeError, ValueError) as exc:
+            # Params that are infeasible or of the wrong type: the manifest
+            # is at fault, not the build, so this is no verification failure.
+            raise click.UsageError(f"manifest params: {exc}") from exc
         return _write_files(target, params.get("format", "csv"), tables)
 
     if keep is not None:

@@ -4,7 +4,10 @@ Simulates the full training + data-transmission chain — pilot transmission
 with multiplicative transmit distortion, LMMSE channel estimation (drawn from
 its sufficient statistic, :func:`_estimate_batches`), and the three linear
 receivers (ZF / MRC / MMSE) — and reduces the per-stream SINR draws to
-empirical NMSE, outage, and ergodic-rate figures.
+empirical NMSE, outage, and ergodic-rate figures.  Every SINR depends on the
+estimate only through its ``nt x nt`` Gram matrix; once ``nr >= 2 nt`` the
+samplers draw that matrix directly from its conditional Wishart law
+(:func:`_wishart_gram`), so their cost no longer grows with ``nr``.
 
 Reproducibility contract
 ------------------------
@@ -13,11 +16,20 @@ All randomness flows through counter-based Philox streams keyed by
 batch ``j`` of a run owns the stream ``(seed, stream_id + j)``.  A batch is
 split into equal-order chunks whose size depends only on ``nr`` and ``nt``
 (:func:`_chunk_sizes`), never on ``tp``.  Within a chunk, draws happen in a
-fixed order — channel ``H``, pilot distortion ``E``, pilot noise ``W`` — so
-identical ``(cfg, receiver, trials, seed)`` reproduce bit-identical sample
-sets, independent of how batches would be scheduled across workers.
-Changing the draw order or the batch/chunk partition is a breaking change
-to this contract.
+fixed order that ``(nr, nt)`` alone selects:
+
+* ``nr < 2 nt``, and always for :func:`empirical_nmse`: channel ``H``, pilot
+  distortion ``E``, pilot noise ``W`` (:func:`_estimate_batches`);
+  :func:`sample_sinr_model` draws the estimate alone;
+* ``nr >= 2 nt``: ``E``, then the Bartlett factor's CN(0,1) entries below
+  the diagonal (trial-major, row-major within a trial), then its ``nt``
+  gamma draws per trial (:func:`_wishart_gram`); :func:`sample_sinr_model`
+  draws no ``E``.
+
+So identical ``(cfg, receiver, trials, seed)`` reproduce bit-identical
+sample sets, independent of how batches would be scheduled across workers.
+Changing the draw order, the ``(nr, nt)`` rule or the batch/chunk partition
+is a breaking change to this contract.
 """
 
 from __future__ import annotations
@@ -49,6 +61,12 @@ BATCH_TRIALS = 4096
 # Cap on complex elements per (trials, max(nr, nt), nt) draw array; bigger
 # batches are processed in equal-order sub-chunks to bound resident memory.
 _CHUNK_ELEMENTS = 1 << 24
+
+# The samplers draw the Gram matrix from its Wishart law once
+# nr >= _WISHART_RATIO * nt, and the estimate itself below that.  Measured:
+# with the Wishart draw at every size, the CLI's 4x4 fixed-tp rate sweep
+# ran slower.
+_WISHART_RATIO = 2
 
 
 @dataclass(frozen=True)
@@ -235,11 +253,66 @@ def _estimate_batches(
     return h, hhat
 
 
+def _bartlett_gram(
+    g: np.random.Generator, m: int, nr: int, nt: int, chol: np.ndarray | None = None
+) -> np.ndarray:
+    """``m`` draws (m, nt, nt) of complex Wishart ``CW(nt, nr, chol chol^H)``,
+    or ``CW(nt, nr, I)`` without ``chol``: ``(chol T)(chol T)^H`` with ``T``
+    the lower-triangular Bartlett factor (Goodman 1963).  ``CW(nt, nr, I)``
+    is the law of ``Z^H Z`` for an ``nr x nt`` i.i.d. CN(0,1) matrix ``Z``.
+    Needs ``nr >= nt``.
+
+    Draws the CN(0,1) entries of ``T`` below the diagonal first, then
+    ``T_ii = sqrt(Gamma(nr - i))`` for ``i = 0 .. nt-1``.
+    """
+    t = np.zeros((m, nt, nt), dtype=np.complex128)
+    below = np.tril_indices(nt, -1)
+    t[:, below[0], below[1]] = _cn(g, (m, below[0].size))
+    diag = np.arange(nt)
+    t[:, diag, diag] = np.sqrt(g.standard_gamma(nr - diag, size=(m, nt)))
+    if chol is not None:
+        t = chol @ t
+    return t @ t.conj().swapaxes(-1, -2)
+
+
+def _wishart_gram(cfg: SystemConfig, g: np.random.Generator, m: int) -> np.ndarray:
+    """Draw ``m`` normalized Gram matrices ``Hbar^H Hbar`` (m, nt, nt), with
+    ``Hbar = Hhat / sqrt(sigma2_est)``, from their law given ``E``; exact.
+
+    In the notation of :func:`_estimate_batches`, ``Hhat = H M + c W`` with
+    ``M = a k (tp I + delta sqrt(tp) E)`` and ``c = k sqrt(tp)``.  Given
+    ``E``, the ``nr`` rows of ``Hhat`` are i.i.d. ``CN(0, Sigma)`` with
+    ``Sigma = M^H M + c^2 I``, so ``Hhat^H Hhat`` is ``CW(nt, nr, Sigma)``:
+    ``L T T^H L^H`` with ``L L^H = Sigma / sigma2_est`` and ``T`` from
+    :func:`_bartlett_gram`.  The non-Gaussian ``H E`` term lives in ``Sigma``.
+    Draws ``nt(3 nt - 1)/2`` complex normals and ``nt`` gammas per trial,
+    none of them depending on ``nr``.  Draw order: ``E``, then ``T``.
+    """
+    nt = cfg.nt
+    a = math.sqrt(cfg.rho / nt)
+    k = a / (a * a * cfg.tp + cfg.delta**2 * cfg.rho + 1.0)
+    root_tp = math.sqrt(cfg.tp)
+    root_est = math.sqrt(derive_params(cfg).sigma2_est)
+    diag = np.arange(nt)
+    mm = _cn(g, (m, nt, nt))
+    mm *= cfg.delta * root_tp
+    mm[:, diag, diag] += cfg.tp
+    mm *= a * k / root_est
+    sigma = _gram(mm)
+    sigma[:, diag, diag] += (k * root_tp / root_est) ** 2
+    return _bartlett_gram(g, m, cfg.nr, nt, np.linalg.cholesky(sigma))
+
+
+def _gram(x: np.ndarray) -> np.ndarray:
+    """Batched ``X^H X``."""
+    return x.conj().swapaxes(-1, -2) @ x
+
+
 def _sample_sets(
-    cfg: SystemConfig, receivers, trials: int, rs: RandomStream, draw
+    cfg: SystemConfig, receivers, trials: int, rs: RandomStream, gram
 ) -> dict[Receiver, SinrSampleSet]:
-    """One :class:`SinrSampleSet` per distinct receiver, from the Gram matrices
-    of the normalized estimates ``draw(g, m) -> Hbar`` (m, nr, nt) per chunk."""
+    """One :class:`SinrSampleSet` per distinct receiver, from the normalized
+    Gram matrices ``gram(g, m)`` (m, nt, nt) of each chunk."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     receivers = tuple(dict.fromkeys(receivers))
@@ -247,10 +320,9 @@ def _sample_sets(
     dpar = derive_params(cfg)
     parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
     for g, m in _batches(cfg, trials, rs):
-        hbar = draw(g, m)
-        gram = hbar.conj().swapaxes(-1, -2) @ hbar
+        grams = gram(g, m)
         for r in receivers:
-            parts[r].append(_gram_sinr(gram, r, dpar, cfg.delta).ravel())
+            parts[r].append(_gram_sinr(grams, r, dpar, cfg.delta).ravel())
     return {
         r: SinrSampleSet(
             receiver=r,
@@ -268,14 +340,20 @@ def sample_sinr_multi(
 ) -> dict[Receiver, SinrSampleSet]:
     """SINR samples for several receivers over the *same* channel draws.
 
-    One simulation pass (estimate, Gram matrix), then each receiver's SINR
-    map applied to the shared Gram batch, so sample k of one receiver and
-    sample k of another describe the same channel realization and stream.
-    See :class:`SinrSampleSet` for the sample layout.
+    One simulation pass (the Gram matrix of the estimate, drawn from its
+    Wishart law when ``nr >= 2 nt``), then each receiver's SINR map applied
+    to the shared Gram batch, so sample k of one receiver and sample k of
+    another describe the same channel realization and stream.  See
+    :class:`SinrSampleSet` for the sample layout.
     """
+    if cfg.nr >= _WISHART_RATIO * cfg.nt:
+        return _sample_sets(
+            cfg, receivers, trials, rs, lambda g, m: _wishart_gram(cfg, g, m)
+        )
     sigma_est = math.sqrt(derive_params(cfg).sigma2_est)
     return _sample_sets(
-        cfg, receivers, trials, rs, lambda g, m: _estimate_batches(cfg, g, m)[1] / sigma_est
+        cfg, receivers, trials, rs,
+        lambda g, m: _gram(_estimate_batches(cfg, g, m)[1] / sigma_est),
     )
 
 
@@ -305,10 +383,15 @@ def sample_sinr_model(
     model directly separates that modelling gap from any numerical error
     in the closed forms, which is what makes this the control experiment
     for distribution-level comparisons.  Stream/batch layout and the
-    sample ordering match :func:`sample_sinr_multi`.
+    sample ordering match :func:`sample_sinr_multi`; when ``nr >= 2 nt`` the
+    Gram matrix is the Bartlett draw ``T T^H`` of ``CW(nt, nr, I)``.
     """
+    if cfg.nr >= _WISHART_RATIO * cfg.nt:
+        return _sample_sets(
+            cfg, receivers, trials, rs, lambda g, m: _bartlett_gram(g, m, cfg.nr, cfg.nt)
+        )
     return _sample_sets(
-        cfg, receivers, trials, rs, lambda g, m: _cn(g, (m, cfg.nr, cfg.nt))
+        cfg, receivers, trials, rs, lambda g, m: _gram(_cn(g, (m, cfg.nr, cfg.nt)))
     )
 
 

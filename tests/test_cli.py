@@ -295,6 +295,31 @@ class TestReproducibilityAndVerify:
         assert "manifest params lack seed, t for nmse" in res.output
         assert "Traceback" not in res.output
 
+    def test_verify_infeasible_params_is_usage_error(self, tmp_path):
+        # fig4's t = 3 leaves no training length nt <= tp < t.
+        res = _run(["opt-tp", "--preset", "fig4", "--snr-db-min", "0",
+                    "--snr-db-max", "0", "--receiver", "zf", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        mpath = tmp_path / "opt_tp.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["params"]["t"] = 3
+        mpath.write_text(json.dumps(manifest))
+        res = _run(["verify", str(mpath)])
+        assert res.exit_code == 2, res.output
+        assert "training length must satisfy nt <= tp < t" in res.output
+        assert "Traceback" not in res.output
+
+    def test_verify_non_numeric_delta_is_usage_error(self, tmp_path):
+        assert _run(self._fast_nmse(tmp_path)).exit_code == 0
+        mpath = tmp_path / "nmse.manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["params"]["delta"] = ["high"]
+        mpath.write_text(json.dumps(manifest))
+        res = _run(["verify", str(mpath)])
+        assert res.exit_code == 2, res.output
+        assert "manifest params:" in res.output
+        assert "Traceback" not in res.output
+
     @pytest.mark.parametrize("text, message", [
         ("{not json", "manifest is not JSON"),
         ("[1, 2]", "manifest is not a JSON object"),
@@ -336,7 +361,9 @@ class TestGoldenDigests:
     before the CLI's sweeps shared one runner, and every table with Monte
     Carlo cells as written since the simulator draws the channel estimate
     from its sufficient statistic (version 0.2.0; the fixed-tp rates run
-    also since the ceiling comes from the quadrature engine).  A change that
+    also since the ceiling comes from the quadrature engine), or, where
+    nr >= 2 nt, the estimate's Gram matrix from its Wishart law (version
+    0.3.0: fig2's outage, fig5 and the 4x16 convergence table).  A change that
     alters a data byte must update these on purpose; a rerun of one build
     cannot catch that.  The digests cover Monte Carlo cells, so they also
     pin this platform's numpy and BLAS rounding."""
@@ -350,18 +377,18 @@ class TestGoldenDigests:
          {"nmse.csv": "a87b9595a8ddc65a0a057a968fd17a10e23163f64c356d99ad5da9797c8e08e5"}),
         (["outage", "--preset", "fig2", "--trials", "256",
           "--threshold-db-step", "5"],
-         {"outage.csv": "724959881fd62c418a76a3035658e40482d6753e3cfb22aeddc026e25a6e7945"}),
+         {"outage.csv": "369055c027d3af20759968ca329cf1b704fc5511328f14a0c7f2c0cc41ea5651"}),
         (["rates", "--preset", "fig3", "--trials", "64", "--snr-db-step", "10"],
          {"rates.csv": "401d29a132d498cf5f892d754390b7df28b093cbd58e6198a2ba4637643a1934"}),
         (["opt-tp", "--preset", "fig4"],
          {"opt_tp.csv": "4d181bac316ac3e31d4f09b417ef5f098cabd04b282288a14fadc920dbfb5803"}),
         (["asymptotic", "--preset", "fig5", "--trials", "64"],
          {"asymptotic_convergence.csv":
-          "6aa8282c011909e07b9c39f9d54b97b05c48780c8ef053ae2968d4dd68b87ca8"}),
+          "2b1ae585eb4e1956d96ffc884559c64ca67bfeb9c1de7c262add76be605b7a12"}),
         (["asymptotic", "--mode", "both", "--config", "4x16", "--t", "100",
           "--trials", "64", "--snr-db-step", "20"],
          {"asymptotic_convergence.csv":
-          "2b97fa159dc9b07434b74fe637929e05d5b88101f7f99c2134fe5495bb9e9fdd",
+          "865316b4c93445cfa9666ba91f35e938ac7cf0171854d87998825b95e5e7a138",
           "asymptotic_tp.csv":
           "4c89182f8c56f0db993769220cb94f70873ee26a8aa7f7ba52ea3b5ad27a57c9"}),
     ], ids=["nmse", "outage", "rates", "opt-tp", "fig5", "both"])

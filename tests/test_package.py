@@ -1,5 +1,9 @@
 """Tests for the package's public surface."""
 
+from pathlib import Path
+
+import pytest
+
 import mimolink
 
 
@@ -13,3 +17,10 @@ def test_star_import():
     namespace = {}
     exec("from mimolink import *", namespace)
     assert set(mimolink.__all__) <= namespace.keys()
+
+
+def test_version_matches_pyproject():
+    # Manifests record __version__; the distribution carries pyproject's.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == mimolink.__version__

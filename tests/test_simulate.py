@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo link simulator."""
 
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -34,6 +35,11 @@ from mimolink.simulate import (
 )
 
 from _util import ks_statistic, run_capped
+
+
+def _ks_bound(trials):
+    """Two-sample KS critical value at alpha = 1e-3, ``trials`` per side."""
+    return math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / trials)
 
 
 class TestPilotMatrix:
@@ -156,21 +162,72 @@ class TestSufficientStatistic:
 
     @pytest.mark.parametrize("nt, nr, tp, snr_db, delta, trials", [
         (4, 4, 96, 20, 0.1, 20000), (8, 64, 64, 20, 0.1, 6000),
-        (5, 30, 5, 30, 0.175, 6000),
+        (5, 30, 5, 30, 0.175, 6000), (4, 8, 4, 30, 0.175, 6000),
+        (8, 256, 8, 30, 0.175, 6000),
     ])
     def test_same_law_as_literal_chain(self, nt, nr, tp, snr_db, delta, trials):
         # Two-sample KS on stream 0 of each trial (streams of one trial are
         # dependent), at the alpha = 1e-3 critical value.  The 5x30 cell is
-        # where the H E term makes the estimate far from Gaussian.
+        # where the H E term makes the estimate far from Gaussian; 4x8 sits
+        # at the Wishart threshold nr = 2 nt, and every cell but 4x4 draws
+        # the Gram matrix from its Wishart law.
         cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp, tp=tp, rho=db_to_linear(snr_db),
                            delta=delta)
         fast = sample_sinr_multi(cfg, tuple(Receiver), trials, RandomStream(5, 1))
         chain = _literal_chain_stream0(cfg, tuple(Receiver), trials, seed=6)
-        bound = math.sqrt(-math.log(1e-3 / 2) / 2) * math.sqrt(2 / trials)
+        bound = _ks_bound(trials)
         for r in Receiver:
             stream0 = fast[r].samples.reshape(trials, nt)[:, 0]
             d = scipy.stats.ks_2samp(stream0, chain[r]).statistic
             assert d <= bound, (r, d, bound)
+
+    def test_model_sampler_same_law_as_gaussian_gram(self):
+        # At 5x30 the model sampler draws T T^H; the reference is the Gram
+        # matrix of an i.i.d. CN(0,1) 30 x 5 matrix, through the same maps.
+        trials = 6000
+        cfg = SystemConfig(nt=5, nr=30, t=10, tp=5, rho=db_to_linear(30), delta=0.175)
+        fast = sample_sinr_model(cfg, tuple(Receiver), trials, RandomStream(5, 2))
+        z = _cn(np.random.default_rng(7), (trials, cfg.nr, cfg.nt))
+        gram = z.conj().swapaxes(-1, -2) @ z
+        for r in Receiver:
+            stream0 = fast[r].samples.reshape(trials, cfg.nt)[:, 0]
+            ref = _gram_sinr(gram, r, derive_params(cfg), cfg.delta)[:, 0]
+            d = scipy.stats.ks_2samp(stream0, ref).statistic
+            assert d <= _ks_bound(trials), (r, d)
+
+    @pytest.mark.parametrize("nt, nr, tp, snr_db, delta", [
+        (4, 8, 4, 30, 0.175), (3, 40, 9, 10, 0.3), (2, 4, 2, 0, 0.0),
+    ])
+    def test_wishart_conditional_moment(self, monkeypatch, nt, nr, tp, snr_db, delta):
+        # With E fixed, E[G | E] = nr Sigma(E) / sigma2_est.  Sigma comes from
+        # the estimate path, which is linear in (H, W): fed H = I and W = 0
+        # it returns M, fed H = 0 and W = I it returns c I.
+        cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp, tp=tp, rho=db_to_linear(snr_db),
+                           delta=delta)
+        e = _cn(np.random.default_rng(3), (1, nt, nt))
+        eye, zero = np.eye(nt)[None].astype(complex), np.zeros((1, nt, nt), complex)
+        fed = iter([eye, e, zero, zero, e, eye])
+        monkeypatch.setattr(simulate, "_cn", lambda _g, shape: next(fed))
+        m_mat = simulate._estimate_batches(cfg, None, 1)[1][0]
+        c_mat = simulate._estimate_batches(cfg, None, 1)[1][0]
+        monkeypatch.undo()
+        sigma = (m_mat.conj().T @ m_mat + c_mat.conj().T @ c_mat) / derive_params(
+            cfg).sigma2_est
+
+        shapes = []
+
+        def fixed_e(g, shape):
+            shapes.append(shape)
+            return np.repeat(e, shape[0], axis=0) if len(shapes) == 1 else _cn(g, shape)
+
+        monkeypatch.setattr(simulate, "_cn", fixed_e)
+        n = 20000
+        grams = simulate._wishart_gram(cfg, np.random.default_rng(4), n)
+        assert shapes[0] == (n, nt, nt)
+        # Var(G_ij) = nr Sigma_ii Sigma_jj for CW(nt, nr, Sigma).
+        scale = np.sqrt(np.diag(sigma).real)
+        std_err = np.sqrt(nr / n) * np.outer(scale, scale)
+        assert np.all(np.abs(grams.mean(axis=0) - nr * sigma) <= 5 * std_err)
 
     def test_chunks_do_not_depend_on_tp(self):
         # The chunk partition is part of the replay contract; it reads only
@@ -181,6 +238,40 @@ class TestSufficientStatistic:
         assert sizes == [512] * 8
         assert simulate._chunk_sizes(cfg.with_tp(100_000), 4096) == sizes
         assert simulate._chunk_sizes(cfg.with_tp(100_000), 1000) == [512, 488]
+
+    @pytest.mark.parametrize("sampler", [sample_sinr_multi, sample_sinr_model],
+                             ids=["sample_sinr_multi", "sample_sinr_model"])
+    def test_wishart_draws_do_not_grow_with_nr(self, monkeypatch, sampler):
+        # Variates drawn per trial, counted by generator method: the same at
+        # 8x16 and at 8x4096, nt(3 nt - 1)/2 complex normals (nt(nt - 1)/2
+        # without E) and nt gammas.
+        counts = {}
+
+        class Counting:
+            def __init__(self, g):
+                self._g = g
+
+            def __getattr__(self, name):
+                def counted(*args, **kwargs):
+                    out = getattr(self._g, name)(*args, **kwargs)
+                    counts[name] = counts.get(name, 0) + np.size(out)
+                    return out
+                return counted
+
+        real = RandomStream.generator
+        monkeypatch.setattr(RandomStream, "generator", lambda rs: Counting(real(rs)))
+        nt, trials = 8, 64
+        per_trial = []
+        for nr in (16, 4096):
+            counts.clear()
+            cfg = SystemConfig(nt=nt, nr=nr, t=20, tp=nt, rho=10.0, delta=0.1)
+            sampler(cfg, (Receiver.MMSE,), trials, RandomStream(1))
+            per_trial.append({name: c / trials for name, c in counts.items()})
+        e_draws = nt * nt if sampler is sample_sinr_multi else 0
+        assert per_trial[0] == per_trial[1] == {
+            "standard_normal": 2 * (e_draws + nt * (nt - 1) // 2),
+            "standard_gamma": nt,
+        }
 
     def test_nmse_cost_does_not_grow_with_tp(self):
         # tp = 100 000: the literal chain's tp x tp solve alone would need
@@ -292,6 +383,22 @@ class TestSinrSamples:
             for r in Receiver:
                 s = sample_sinr(cfg, r, 4000, RandomStream(21))
                 assert np.all(s.samples < 1.0 / delta**2), (r, delta)
+
+    @pytest.mark.parametrize("nt", [2, 8, 32])
+    def test_wishart_samples_finite_and_below_wall(self, nt):
+        # The Wishart path at nr = 2 nt over the whole parameter range: the
+        # Cholesky factor exists and every sample is finite, strictly below
+        # 1/delta^2 when delta > 0.
+        grid = itertools.product(range(-100, 301, 50), (0.0, 1e-8, 0.3, 1.0, 3.0),
+                                 (nt, 1000))
+        for i, (snr_db, delta, tp) in enumerate(grid):
+            cfg = SystemConfig(nt=nt, nr=2 * nt, t=tp + 1, tp=tp,
+                               rho=db_to_linear(snr_db), delta=delta)
+            out = sample_sinr_multi(cfg, tuple(Receiver), 128, RandomStream(23, i))
+            for r, s in out.items():
+                assert np.all(np.isfinite(s.samples)), (r, cfg)
+                if delta > 0:
+                    assert np.all(s.samples < 1.0 / delta**2), (r, cfg)
 
     def test_mmse_dominates_samplewise(self):
         # On the same channel draw, the MMSE form is at least ZF and at
