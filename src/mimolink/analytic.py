@@ -36,10 +36,11 @@ O(nr) positive terms per node, no cancellation, and no ``nr x nr`` table.
 One quadrature engine serves every rate.  It integrates the survival over
 ``u`` for a whole vector of c0 values at once (one per training length in a
 ``tp`` scan, a single one for a point rate) with one adaptive-quadrature call
-per chunk.  Chunks are sized so that c0 values x mixture terms x seed nodes
-stays within ``_WORKING_SET``, which bounds the integrand's memory whatever
-the scan length, and each chunk takes its knots from its smallest c0, whose
-small-u structure is the finest.
+per chunk.  The survival is summed one mixture term at a time, so its
+largest array is c0 values x nodes; chunks are sized so that c0 values x
+seed nodes stays within ``_WORKING_SET``, which bounds the integrand's
+memory whatever the scan length, and each chunk takes its knots from its
+smallest c0, whose small-u structure is the finest.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .config import (
     derive_params,
     derive_params_at,
 )
-from .quadrature import _X_HI, integrate_family
+from .quadrature import _XK, integrate_family
 from .quadrature import integrate  # noqa: F401  (unused; wrapped by perfbench/spans.py)
 from .special import (
     _lchoose,
@@ -84,8 +85,8 @@ logger = logging.getLogger(__name__)
 # as the admissible ratio sum|terms| / |sum terms| (~1e6 ulps of headroom).
 _CANCEL_LIMIT = 1.0e6
 
-# Bound on the batched rate integrand's working set, in c0 values x mixture
-# terms x seed quadrature nodes (one float64 array of this size is 2 MiB).
+# Bound on the batched rate integrand's working set, in c0 values x seed
+# quadrature nodes (one float64 array of this size is 2 MiB).
 _WORKING_SET = 1 << 18
 
 # Log-spaced seed knots of the u-space rate integral; the adaptive bisection
@@ -143,17 +144,25 @@ def _survival_u(
     * MMSE: ``sum_{j<min(nt,nr)} C(nt-1, j) x^j (1-x)^(nt-1-j) Q(nr-j, u)``;
     * MRC: ``sum_{j<nr} C(nt+j-2, j) x^j (1-x)^(nt-1) Q(nr-j, u)``.
 
-    The weights are evaluated in log space as
-    ``log C + j log z - (nt-1) log v`` with ``z = w`` (MMSE) or ``z = x``
-    (MRC), so no intermediate overflows, and every term is positive.
+    Each term is evaluated in log space as
+    ``log C + j log z - (nt-1) log v + log Q`` with ``z = w`` (MMSE) or
+    ``z = x`` (MRC), so no intermediate overflows, and every term is
+    positive.  Terms are accumulated one at a time, so the largest live
+    array is ``(m, n)``.
     """
     c0 = np.asarray(c0, dtype=float)
-    u = np.asarray(u, dtype=float)
+    # Every transcendental ufunc below reads a contiguous array: numpy may
+    # run a strided input through a different loop, whose last bits can
+    # differ, and then a threshold's CDF would depend on its neighbours.
+    u = np.ascontiguousarray(u, dtype=float)
     if receiver is Receiver.ZF:
         tail = _poisson_tail(nr - nt + 1, u)[-1]
         return np.broadcast_to(tail, (c0.size, u.size))
     log_c = _mixture_log_binomials(receiver, nt, nr)
-    tail = _poisson_tail(nr, u)[::-1][: log_c.size]  # row j holds Q(nr - j, u)
+    terms = log_c.size
+    with np.errstate(divide="ignore"):  # Q(a, u) underflows to 0 far out
+        log_q = np.log(_poisson_tail(nr, u)[nr - terms:])
+    log_cq = log_q[::-1] + log_c[:, None]  # row j: log C_j + log Q(nr - j, u)
     ratio = (1.0 + delta * delta) / c0
     log_v = ratio[:, None] * u[None, :]  # (m, n)
     np.log1p(log_v, out=log_v)
@@ -161,14 +170,18 @@ def _survival_u(
         log_z = np.log(ratio)[:, None] + np.log(u)[None, :]
     if receiver is Receiver.MRC:
         log_z -= log_v
-    j = np.arange(log_c.size)[:, None]
-    with np.errstate(invalid="ignore"):  # j = 0 against u = 0 makes 0 * (-inf)
-        log_weights = j * log_z[:, None, :]  # (m, j, n)
-    log_weights[:, 0] = 0.0
-    log_weights += log_c[:, None]
-    log_v *= nt - 1
-    log_weights -= log_v[:, None, :]
-    return np.einsum("mjn,jn->mn", np.exp(log_weights, out=log_weights), tail)
+    log_v *= -(nt - 1)
+    # One (m, n) term at a time: exp(j log z - (nt-1) log v + log C_j Q).
+    # Term 0 skips 0 * log z, which is NaN at u = 0.
+    out = np.add(log_v, log_cq[0])
+    np.exp(out, out=out)
+    term = np.empty_like(out)
+    for j in range(1, terms):
+        np.multiply(log_z, j, out=term)
+        term += log_v
+        term += log_cq[j]
+        out += np.exp(term, out=term)
+    return out
 
 
 def sinr_cdf(
@@ -224,15 +237,14 @@ def _rate_quadrature_c0(
     for a vector of c0 values (the rate without its prefactor).
 
     The c0 values are integrated together in chunks whose working set
-    (c0 values x mixture terms x seed nodes) stays within ``_WORKING_SET``
+    (c0 values x seed nodes) stays within ``_WORKING_SET``
     (a chunk holds at least one c0); a chunk takes its knots from its
     smallest c0, whose small-u structure is the finest.
     """
     c0 = np.atleast_1d(np.asarray(c0, dtype=float))
     k_max = nr - nt if receiver is Receiver.ZF else nr - 1
     d2 = delta * delta
-    terms = 1 if receiver is Receiver.ZF else _mixture_log_binomials(receiver, nt, nr).size
-    chunk = max(1, _WORKING_SET // (terms * _SEED_KNOTS * _X_HI.size))
+    chunk = max(1, _WORKING_SET // (_SEED_KNOTS * _XK.size))
     out = []
     for c in np.array_split(c0, -(-c0.size // chunk)):
         u_max, knots = _u_knots(k_max, float(c.min()), delta)

@@ -1,14 +1,15 @@
-"""Adaptive quadrature on a nested Gauss rule pair, vectorized over intervals.
+"""Adaptive Gauss-Kronrod quadrature, vectorized over intervals.
 
-The integrator evaluates a low-order and a high-order Gauss-Legendre rule on
-every active interval; their difference is the error estimate, exactly the
-nested-rule idea behind Gauss-Kronrod integrators.  Refinement is
-breadth-first: every interval that misses its (length-prorated) share of the
-tolerance is bisected, and all surviving intervals are evaluated in one
-vectorized call per level.  That layout is what makes the rest of the package
-fast -- the integrands here are whole families of special-function components
-or survival functions evaluated on hundreds of nodes at once, so per-interval
-callbacks would dominate the runtime.
+Every active interval is evaluated once, at the 41 nodes of the Kronrod rule
+K41; the 20-point Gauss rule G20 reads its values from K41's odd-indexed
+nodes, and ``|K41 - G20|`` is the error estimate (QUADPACK's QAG pair,
+Piessens et al. 1983).  Refinement is breadth-first: every interval that
+misses its (length-prorated) share of the tolerance is bisected, and all
+surviving intervals are evaluated in one vectorized call per level.  That
+layout is what makes the rest of the package fast -- the integrands here are
+whole families of special-function components or survival functions
+evaluated on hundreds of nodes at once, so per-interval callbacks would
+dominate the runtime.
 
 Integrands may be scalar (``f(x) -> values``) or vectorized families
 (``f(x) -> (m, len(x))``); in the family case every component must meet its
@@ -29,28 +30,63 @@ from .config import AccuracyError
 
 __all__ = ["integrate", "integrate_family"]
 
-# Nested rule pair: the 41-point rule is the reference, the 20-point rule the
-# embedded estimate.  Both are open rules (endpoints never sampled).  Meant
-# for smooth integrands; multi-scale structure should be flagged via `points`.
-_X_LO, _W_LO = np.polynomial.legendre.leggauss(20)
-_X_HI, _W_HI = np.polynomial.legendre.leggauss(41)
+# The Gauss-Kronrod 20/41 pair on [-1, 1], rounded from a 120-digit solution
+# (tests/test_quadrature.py regenerates it with mpmath).  Nodes in [0, 1),
+# descending: entries 1, 3, .., 19 are the Gauss nodes, the rest Kronrod's.
+# Both rules are open (endpoints never sampled) and meant for smooth
+# integrands; multi-scale structure should be flagged via `points`.
+_XGK_HALF = (
+    0.9988590315882777, 0.9931285991850949, 0.9815078774502503,
+    0.9639719272779138, 0.9408226338317548, 0.912234428251326,
+    0.878276811252282, 0.8391169718222188, 0.7950414288375512,
+    0.7463319064601508, 0.6932376563347514, 0.636053680726515,
+    0.5751404468197103, 0.5108670019508271, 0.4435931752387251,
+    0.37370608871541955, 0.301627868114913, 0.22778585114164507,
+    0.15260546524092267, 0.07652652113349734, 0.0,
+)
+# K41 weights of those nodes.
+_WGK_HALF = (
+    0.0030735837185205317, 0.008600269855642943, 0.014626169256971253,
+    0.020388373461266523, 0.02588213360495116, 0.0312873067770328,
+    0.036600169758200796, 0.041668873327973685, 0.04643482186749767,
+    0.05094457392372869, 0.05519510534828599, 0.05911140088063957,
+    0.06265323755478117, 0.06583459713361842, 0.06864867292852161,
+    0.07105442355344407, 0.07303069033278667, 0.07458287540049918,
+    0.07570449768455667, 0.07637786767208074, 0.07660071191799965,
+)
+# G20 weights of the Gauss nodes 1, 3, .., 19.
+_WG_HALF = (
+    0.017614007139152118, 0.04060142980038694, 0.06267204833410907,
+    0.08327674157670475, 0.10193011981724044, 0.11819453196151841,
+    0.13168863844917664, 0.14209610931838204, 0.14917298647260374,
+    0.15275338713072584,
+)
+
+# The full rules, nodes ascending; G20's nodes are _XK[1::2].
+_XK = np.concatenate([np.negative(_XGK_HALF[:-1]), _XGK_HALF[::-1]])
+_WK = np.concatenate([_WGK_HALF, _WGK_HALF[-2::-1]])
+_WG = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 
 
-def _eval_panels(f, lo: np.ndarray, hi: np.ndarray, x01: np.ndarray, w: np.ndarray):
-    """Apply one rule to a batch of intervals.
+def _eval_panels(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the K41 and G20 rules to a batch of intervals, with one
+    integrand call at the K41 nodes.
 
-    Returns per-interval integrals with shape ``(m, n_intervals)`` where m is
-    the number of integrand components (1 for scalar integrands).
+    Returns the per-interval integrals of both rules, each of shape
+    ``(m, n_intervals)`` where m is the number of integrand components (1 for
+    scalar integrands).
     """
     half = 0.5 * (hi - lo)  # (n,)
     mid = 0.5 * (hi + lo)
     # nodes laid out interval-major so a family integrand sees one flat array
-    nodes = (mid[:, None] + half[:, None] * x01[None, :]).ravel()
+    nodes = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
     vals = np.asarray(f(nodes), dtype=float)
     if vals.ndim == 1:
         vals = vals[None, :]
-    vals = vals.reshape(vals.shape[0], lo.size, x01.size)
-    return np.einsum("min,n->mi", vals, w) * half[None, :]
+    vals = vals.reshape(vals.shape[0], lo.size, _XK.size)
+    kronrod = np.einsum("min,n->mi", vals, _WK) * half[None, :]
+    gauss = np.einsum("min,n->mi", vals[:, :, 1::2], _WG) * half[None, :]
+    return kronrod, gauss
 
 
 def integrate_family(
@@ -98,8 +134,7 @@ def integrate_family(
     done_sum = None  # integral over retired intervals, per component
     done_err = None  # error estimate carried by retired intervals
     for level in range(max_levels + 1):
-        coarse = _eval_panels(f, lo, hi, _X_LO, _W_LO)
-        fine = _eval_panels(f, lo, hi, _X_HI, _W_HI)
+        fine, coarse = _eval_panels(f, lo, hi)
         if not (np.all(np.isfinite(fine)) and np.all(np.isfinite(coarse))):
             # No refinement can fix a non-finite integrand; bisecting anyway
             # would double the node count at every level.

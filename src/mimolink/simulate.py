@@ -15,8 +15,10 @@ All randomness flows through counter-based Philox streams keyed by
 ``(seed, stream_id)``.  Trials are partitioned into fixed batches of 4096;
 batch ``j`` of a run owns the stream ``(seed, stream_id + j)``.  A batch is
 split into equal-order chunks whose size depends only on ``nr`` and ``nt``
-(:func:`_chunk_sizes`), never on ``tp``.  Within a chunk, draws happen in a
-fixed order that ``(nr, nt)`` alone selects:
+(:func:`_chunk_sizes`), never on ``tp``: a chunk holds at most
+``_CHUNK_ELEMENTS`` complex elements, counting ``max(nr, nt) nt`` per trial
+on the estimate path and ``nt^2`` on the Wishart path.  Within a chunk,
+draws happen in a fixed order that ``(nr, nt)`` alone selects:
 
 * ``nr < 2 nt``, and always for :func:`empirical_nmse`: channel ``H``, pilot
   distortion ``E``, pilot noise ``W`` (:func:`_estimate_batches`);
@@ -58,8 +60,9 @@ __all__ = [
 
 BATCH_TRIALS = 4096
 
-# Cap on complex elements per (trials, max(nr, nt), nt) draw array; bigger
-# batches are processed in equal-order sub-chunks to bound resident memory.
+# Cap on complex elements per draw array, (trials, max(nr, nt), nt) on the
+# estimate path and (trials, nt, nt) on the Wishart path; bigger batches are
+# processed in equal-order sub-chunks to bound resident memory.
 _CHUNK_ELEMENTS = 1 << 24
 
 # The samplers draw the Gram matrix from its Wishart law once
@@ -135,9 +138,14 @@ def gen_pilot_matrix(nt: int, tp: int) -> np.ndarray:
     return np.exp((-2j * np.pi / tp) * ((m * n) % tp))
 
 
-def _chunk_sizes(cfg: SystemConfig, n: int) -> list[int]:
-    """Deterministic sub-chunk partition of a batch (memory guard; tp-free)."""
-    per_trial = max(cfg.nr, cfg.nt) * cfg.nt
+def _chunk_sizes(cfg: SystemConfig, n: int, wishart: bool = False) -> list[int]:
+    """Deterministic sub-chunk partition of a batch (memory guard; tp-free).
+
+    A trial holds ``max(nr, nt) * nt`` complex elements on the estimate
+    path, and ``nt * nt`` on the Wishart path (``wishart``), which never
+    forms an ``nr``-row array.
+    """
+    per_trial = cfg.nt * cfg.nt if wishart else max(cfg.nr, cfg.nt) * cfg.nt
     chunk = min(BATCH_TRIALS, max(1, _CHUNK_ELEMENTS // per_trial))
     return [min(chunk, n - s) for s in range(0, n, chunk)]
 
@@ -208,13 +216,13 @@ def _gram_sinr(
     raise ValueError(f"unknown receiver: {receiver!r}")
 
 
-def _batches(cfg: SystemConfig, trials: int, rs: RandomStream):
+def _batches(cfg: SystemConfig, trials: int, rs: RandomStream, wishart: bool = False):
     """Yield ``(generator, m)`` per chunk of ``trials``: batch ``j`` holds the
     next ``min(BATCH_TRIALS, trials - j*BATCH_TRIALS)`` trials, draws from the
     stream ``rs.shifted(j)`` and is split by :func:`_chunk_sizes`."""
     for j, done in enumerate(range(0, trials, BATCH_TRIALS)):
         g = rs.shifted(j).generator()
-        for m in _chunk_sizes(cfg, min(BATCH_TRIALS, trials - done)):
+        for m in _chunk_sizes(cfg, min(BATCH_TRIALS, trials - done), wishart):
             yield g, m
 
 
@@ -303,6 +311,11 @@ def _wishart_gram(cfg: SystemConfig, g: np.random.Generator, m: int) -> np.ndarr
     return _bartlett_gram(g, m, cfg.nr, nt, np.linalg.cholesky(sigma))
 
 
+def _wishart(cfg: SystemConfig) -> bool:
+    """Whether the samplers draw the Gram matrix from its Wishart law."""
+    return cfg.nr >= _WISHART_RATIO * cfg.nt
+
+
 def _gram(x: np.ndarray) -> np.ndarray:
     """Batched ``X^H X``."""
     return x.conj().swapaxes(-1, -2) @ x
@@ -312,14 +325,15 @@ def _sample_sets(
     cfg: SystemConfig, receivers, trials: int, rs: RandomStream, gram
 ) -> dict[Receiver, SinrSampleSet]:
     """One :class:`SinrSampleSet` per distinct receiver, from the normalized
-    Gram matrices ``gram(g, m)`` (m, nt, nt) of each chunk."""
+    Gram matrices ``gram(g, m)`` (m, nt, nt) of each chunk; ``gram`` draws
+    them from their Wishart law exactly when :func:`_wishart` says so."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     receivers = tuple(dict.fromkeys(receivers))
     _require_zf_ok(cfg.nt, cfg.nr, *receivers)
     dpar = derive_params(cfg)
     parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
-    for g, m in _batches(cfg, trials, rs):
+    for g, m in _batches(cfg, trials, rs, _wishart(cfg)):
         grams = gram(g, m)
         for r in receivers:
             parts[r].append(_gram_sinr(grams, r, dpar, cfg.delta).ravel())
@@ -346,7 +360,7 @@ def sample_sinr_multi(
     another describe the same channel realization and stream.  See
     :class:`SinrSampleSet` for the sample layout.
     """
-    if cfg.nr >= _WISHART_RATIO * cfg.nt:
+    if _wishart(cfg):
         return _sample_sets(
             cfg, receivers, trials, rs, lambda g, m: _wishart_gram(cfg, g, m)
         )
@@ -386,7 +400,7 @@ def sample_sinr_model(
     sample ordering match :func:`sample_sinr_multi`; when ``nr >= 2 nt`` the
     Gram matrix is the Bartlett draw ``T T^H`` of ``CW(nt, nr, I)``.
     """
-    if cfg.nr >= _WISHART_RATIO * cfg.nt:
+    if _wishart(cfg):
         return _sample_sets(
             cfg, receivers, trials, rs, lambda g, m: _bartlett_gram(g, m, cfg.nr, cfg.nt)
         )

@@ -28,7 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import AccuracyError
-from .quadrature import _X_HI, integrate_family
+from .quadrature import _XK, integrate_family
 
 __all__ = [
     "exp_integral_en_scaled",
@@ -206,7 +206,7 @@ def log_tricomi_u_family(ab_pairs: np.ndarray, z: float) -> np.ndarray:
     # Fix each component's scale from a coarse probe of the seed knots plus
     # the analytic peak location, then keep it frozen during refinement.
     probe = np.concatenate([knots, np.clip(a - 1.0, x_floor, x_max)])
-    size = a.size * max(probe.size, knots.size * _X_HI.size)
+    size = a.size * max(probe.size, knots.size * _XK.size)
     if size > _TRICOMI_ELEMENTS:
         raise AccuracyError(f"Tricomi U family of {a.size} pairs x {size // a.size} "
                             f"nodes exceeds the {_TRICOMI_ELEMENTS}-element budget")

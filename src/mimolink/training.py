@@ -19,7 +19,9 @@ through ``c0``) but shortens the data phase; the ergodic-rate objective
 
 Both exhaustive scans share one reduction of the rate vector (the first
 argmax), and both methods tie-break toward the smallest training length, so
-results are unique and replays are bit-identical.
+results are unique and replays are bit-identical.  An exhaustive result
+keeps the scan that made it, not a copy of its rates: its trace recomputes
+them on first read, bit for bit, so a kept result costs a few hundred bytes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -42,37 +45,63 @@ _TERNARY_MIN_T = 10_000
 _TERNARY_WINDOW = 24
 
 
+def _rate_array(rates: np.ndarray) -> array:
+    out = array("d")
+    out.frombytes(np.ascontiguousarray(rates, dtype=np.float64).tobytes())
+    return out
+
+
 class SearchTrace(Sequence):
     """Immutable ``(tp, rate)`` pairs of a search, stored as two typed arrays.
 
-    It reads, compares equal to and hashes like the tuple of pairs it holds,
-    at 16 bytes a pair instead of the ~100 of a tuple of tuples of Python
-    numbers, which matters to callers that keep many full-range scans.  The
-    ``tp`` column of a full scan is a ``range``, so it holds 8 bytes a pair.
+    It reads, compares equal to, hashes and pickles like the tuple of pairs
+    it holds, at 16 bytes a pair instead of the ~100 of a tuple of tuples of
+    Python numbers, which matters to callers that keep many full-range
+    scans.  The ``tp`` column of a full scan is a ``range``, so it holds 8
+    bytes a pair.  A full scan may also keep the scan that computed its
+    rates (:meth:`from_range` with ``scan``); once the rates are dropped,
+    the first read recomputes and caches them, and the same code gives the
+    same bits.
     """
 
-    __slots__ = ("_tps", "_rates")
+    __slots__ = ("_tps", "_cache", "_scan")
 
     def __init__(self, pairs: Iterable[tuple[int, float]]) -> None:
         self._tps = array("q")
-        self._rates = array("d")
+        self._cache = array("d")
+        self._scan = None
         for tp, rate in pairs:
             if self._tps and tp <= self._tps[-1]:
                 raise ValueError("trace pairs must be strictly increasing in tp")
             self._tps.append(tp)
-            self._rates.append(rate)
+            self._cache.append(rate)
 
     @classmethod
-    def from_range(cls, tps: range, rates: np.ndarray) -> "SearchTrace":
+    def from_range(
+        cls, tps: range, rates: np.ndarray, scan: Callable[[], np.ndarray] | None = None
+    ) -> "SearchTrace":
         """Trace of the pairs ``zip(tps, rates)`` of a full scan: the
         increasing ``range`` is kept as it is, the rates are copied in one
-        step."""
+        step.  ``scan``, if given, recomputes ``rates`` bit for bit, and
+        :meth:`_drop_rates` may then release them."""
         if tps.step < 1 or len(tps) != len(rates):
             raise ValueError("a scan trace needs an increasing tp range, one rate per tp")
         trace = cls(())
         trace._tps = tps
-        trace._rates.frombytes(np.ascontiguousarray(rates, dtype=np.float64).tobytes())
+        trace._cache = _rate_array(rates)
+        trace._scan = scan
         return trace
+
+    @property
+    def _rates(self) -> array:
+        if self._cache is None:
+            self._cache = _rate_array(self._scan())
+        return self._cache
+
+    def _drop_rates(self) -> None:
+        """Release the rates of a trace that keeps its scan."""
+        if self._scan is not None:
+            self._cache = None
 
     def __len__(self) -> int:
         return len(self._tps)
@@ -93,6 +122,9 @@ class SearchTrace(Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
+    def __reduce__(self):
+        return SearchTrace, (tuple(self),)  # the pairs: a scan need not pickle
+
     def __repr__(self) -> str:
         return repr(tuple(self))
 
@@ -105,10 +137,11 @@ class TpSearchResult:
         tp_star: optimal training length (smallest maximizer on ties).
         rate_at_star: objective value at ``tp_star``.
         trace: every evaluated ``(tp, rate)`` pair, sorted by ``tp`` —
-            the full feasible range for the exhaustive method, the probed
-            subset for the ternary method.  Any sequence of pairs strictly
-            increasing in ``tp`` is accepted and stored as a
-            :class:`SearchTrace`; other pairs raise ``ValueError``.
+            the full feasible range for the exhaustive method (recomputed
+            on first read), the probed subset for the ternary method.  Any
+            sequence of pairs strictly increasing in ``tp`` is accepted and
+            stored as a :class:`SearchTrace`; other pairs raise
+            ``ValueError``.
         method: ``"exhaustive"`` or ``"concave-bisection"``.
     """
 
@@ -133,16 +166,24 @@ class TpSearchResult:
             raise ValueError("tp_star must be the smallest maximizer in the trace")
 
 
-def _exhaustive(cfg: SystemConfig, rates: np.ndarray) -> TpSearchResult:
-    """Search result of a full scan, ``rates[i]`` being the rate at
-    ``tp = nt + i``; the first argmax is the smallest maximizer."""
+def _exhaustive(cfg: SystemConfig, scan: Callable[[], np.ndarray]) -> TpSearchResult:
+    """Search result of the full scan ``scan()``, whose entry ``i`` is the
+    rate at ``tp = nt + i``; the first argmax is the smallest maximizer.
+
+    The scan runs once.  The result keeps ``scan`` in place of the rates,
+    which its trace recomputes on first read.
+    """
+    rates = scan()
     i = int(np.argmax(rates))
-    return TpSearchResult(
+    trace = SearchTrace.from_range(range(cfg.nt, cfg.t), rates, scan)
+    result = TpSearchResult(
         tp_star=cfg.nt + i,
         rate_at_star=float(rates[i]),
-        trace=SearchTrace.from_range(range(cfg.nt, cfg.t), rates),
+        trace=trace,
         method="exhaustive",
     )
+    trace._drop_rates()  # checked by TpSearchResult against these rates
+    return result
 
 
 def _ternary(cfg: SystemConfig, objective: Callable[[int], float]) -> TpSearchResult:
@@ -178,7 +219,7 @@ def _ternary(cfg: SystemConfig, objective: Callable[[int], float]) -> TpSearchRe
 def optimize_tp_exact(cfg: SystemConfig, receiver: Receiver) -> TpSearchResult:
     """Maximize the exact ergodic rate over all feasible training lengths by
     exhaustive scan (``cfg.tp`` only seeds the feasible range)."""
-    return _exhaustive(cfg, rate_scan(receiver, cfg))
+    return _exhaustive(cfg, partial(rate_scan, receiver, cfg))
 
 
 def optimize_tp_asymptotic(cfg: SystemConfig, receiver: Receiver) -> TpSearchResult:
@@ -191,4 +232,4 @@ def optimize_tp_asymptotic(cfg: SystemConfig, receiver: Receiver) -> TpSearchRes
     """
     if cfg.t >= _TERNARY_MIN_T:
         return _ternary(cfg, lambda tp: det_rate(receiver, cfg.with_tp(tp)))
-    return _exhaustive(cfg, det_rate_scan(receiver, cfg))
+    return _exhaustive(cfg, partial(det_rate_scan, receiver, cfg))

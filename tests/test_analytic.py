@@ -4,6 +4,7 @@ Reference CDF values were generated with an independent mpmath
 implementation of the distribution series at 60-digit precision.
 """
 
+import functools
 import itertools
 import logging
 import math
@@ -147,11 +148,14 @@ class TestSinrCdfProperties:
 
 
 @st.composite
-def _link(draw):
-    """A receiver and a link of up to 16x16 antennas."""
+def _link(draw, size=None):
+    """A receiver and a link of up to 16x16 antennas, or of ``size``."""
     receiver = draw(st.sampled_from(list(Receiver)))
-    nt = draw(st.integers(1, 16))
-    nr = draw(st.integers(nt if receiver is Receiver.ZF else 1, 16))
+    if size is None:
+        nt = draw(st.integers(1, 16))
+        nr = draw(st.integers(nt if receiver is Receiver.ZF else 1, 16))
+    else:
+        nt, nr = size
     tp = draw(st.integers(nt, nt + 8))
     rho = db_to_linear(draw(st.floats(-10.0, 60.0)))
     delta = draw(st.one_of(st.just(0.0), st.floats(0.01, 0.3)))
@@ -169,6 +173,19 @@ class TestDistributionAndRateProperties:
         f = sinr_cdf(receiver, cfg, np.sort(gammas))
         assert np.all((f >= 0.0) & (f <= 1.0))
         assert np.all(np.diff(f) >= -1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(_link(), _link(size=(5, 30))), st.sampled_from([1, 2, 3, 7, 17, 101]),
+           st.data())
+    def test_array_cdf_equals_scalar_calls(self, link, n, data):
+        # numpy may run a transcendental ufunc through a different loop for
+        # another array length or stride; a threshold's CDF must still be
+        # the scalar call's bits, whatever its neighbours.
+        receiver, cfg = link
+        gammas = data.draw(st.lists(st.floats(-3.0, 4.0).map(lambda x: 10.0**x),
+                                    min_size=n, max_size=n))
+        got = sinr_cdf(receiver, cfg, np.array(gammas))
+        assert got.tolist() == [sinr_cdf(receiver, cfg, g) for g in gammas]
 
     @settings(max_examples=60, deadline=None)
     @given(_link(), st.floats(0.0, 30.0))
@@ -328,6 +345,7 @@ class TestRateClosedVsQuadrature:
         assert analytic == pytest.approx(mc, rel=0.02)
 
 
+@functools.lru_cache(maxsize=None)
 def _mp_rate_integral(receiver, nt, nr, delta, c0):
     """30-digit mpmath value of the u-space rate integral
     ``int_0^inf S(u) c0 / ((c0 + d^2 u)(c0 + (1+d^2) u)) du`` that
@@ -367,16 +385,33 @@ class TestRateQuadratureReference:
     the same survival mixture, at a c0 near 1 (10 dB) and a small one
     (40 dB), whose small-u structure is the finest."""
 
-    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.15])
-    @pytest.mark.parametrize("nt, nr", [(4, 4), (8, 64)])
-    def test_matches_mpmath(self, nt, nr, delta):
+    @staticmethod
+    def _cases(nt, nr, delta):
+        """``(receiver, c0, engine value, mpmath value)`` at 10 and 40 dB."""
         for snr_db in (10.0, 40.0):
             cfg = SystemConfig(nt=nt, nr=nr, t=100, tp=nt, rho=db_to_linear(snr_db), delta=delta)
             c0 = derive_params(cfg).c0
             for r in Receiver:
                 got = _rate_quadrature_c0(r, nt, nr, delta, np.array([c0]))[0]
-                want = float(_mp_rate_integral(r, nt, nr, delta, c0))
-                assert abs(got - want) <= 1e-13 * want, (r, snr_db, got, want)
+                yield r, c0, got, float(_mp_rate_integral(r, nt, nr, delta, c0))
+
+    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.15])
+    @pytest.mark.parametrize("nt, nr", [(4, 4), (8, 64)])
+    def test_matches_mpmath(self, nt, nr, delta):
+        for r, c0, got, want in self._cases(nt, nr, delta):
+            assert abs(got - want) <= 1e-13 * want, (r, c0, got, want)
+
+    def test_mean_signed_error_is_unbiased(self):
+        # Over the 36 cases above, the relative errors average -1.3e-16 on
+        # the Gauss-Kronrod 20/41 pair; the unshared 20/41 Gauss pair before
+        # it averaged -3.8e-15, a bias of a few ulps per rate.
+        errors = [
+            (got - want) / want
+            for (nt, nr), delta in itertools.product([(4, 4), (8, 64)], [0.0, 0.05, 0.15])
+            for _, _, got, want in self._cases(nt, nr, delta)
+        ]
+        assert len(errors) == 36
+        assert abs(np.mean(errors)) <= 1e-15, np.mean(errors)
 
 
 class TestRateLowSnr:

@@ -363,9 +363,11 @@ class TestGoldenDigests:
     from its sufficient statistic (version 0.2.0; the fixed-tp rates run
     also since the ceiling comes from the quadrature engine), or, where
     nr >= 2 nt, the estimate's Gram matrix from its Wishart law (version
-    0.3.0: fig2's outage, fig5 and the 4x16 convergence table).  A change that
-    alters a data byte must update these on purpose; a rerun of one build
-    cannot catch that.  The digests cover Monte Carlo cells, so they also
+    0.3.0: fig2's outage, fig5 and the 4x16 convergence table).  The
+    analytic cells of the outage and both rates tables are as computed
+    since the quadrature runs on the Gauss-Kronrod 20/41 pair (version
+    0.4.0).  A change that alters a data byte must update these on purpose;
+    a rerun of one build cannot catch that.  The digests cover Monte Carlo cells, so they also
     pin this platform's numpy and BLAS rounding."""
 
     @staticmethod
@@ -377,9 +379,9 @@ class TestGoldenDigests:
          {"nmse.csv": "a87b9595a8ddc65a0a057a968fd17a10e23163f64c356d99ad5da9797c8e08e5"}),
         (["outage", "--preset", "fig2", "--trials", "256",
           "--threshold-db-step", "5"],
-         {"outage.csv": "369055c027d3af20759968ca329cf1b704fc5511328f14a0c7f2c0cc41ea5651"}),
+         {"outage.csv": "c9320f2937c11746f0c04e614b84384756019b1b7e16bf422660382ebd4a21ad"}),
         (["rates", "--preset", "fig3", "--trials", "64", "--snr-db-step", "10"],
-         {"rates.csv": "401d29a132d498cf5f892d754390b7df28b093cbd58e6198a2ba4637643a1934"}),
+         {"rates.csv": "06995462144fa1549b93a10e06ccc0bb5f87bb0006e5113eee140f831097e1d1"}),
         (["opt-tp", "--preset", "fig4"],
          {"opt_tp.csv": "4d181bac316ac3e31d4f09b417ef5f098cabd04b282288a14fadc920dbfb5803"}),
         (["asymptotic", "--preset", "fig5", "--trials", "64"],
@@ -421,7 +423,7 @@ class TestGoldenDigests:
         ])
         assert res.exit_code == 0, res.output
         assert self._digest(tmp_path / "rates.csv") == (
-            "f1be734cdaf284750ff3996a1683ed9f8a70aac729668afa1a8463784ace3832"
+            "dcdf4b7ba23f06cc4a3ec2583c706dddb387253f945ee94cbe29d77ee2e901ff"
         )
         # The ceiling is rho-independent: one evaluation per (receiver,
         # delta > 0), not one per SNR.

@@ -273,6 +273,26 @@ class TestSufficientStatistic:
             "standard_gamma": nt,
         }
 
+    @pytest.mark.parametrize("sampler", [sample_sinr_multi, sample_sinr_model],
+                             ids=["sample_sinr_multi", "sample_sinr_model"])
+    def test_wishart_batch_is_one_chunk(self, monkeypatch, sampler):
+        # The Wishart path holds (m, nt, nt) arrays only, so its chunks are
+        # sized by nt^2: at 8x4096 a batch is one chunk, where the estimate
+        # path's max(nr, nt) nt per trial splits it eight ways.
+        cfg = SystemConfig(nt=8, nr=4096, t=20, tp=8, rho=10.0, delta=0.1)
+        assert simulate._chunk_sizes(cfg, 4096) == [512] * 8
+        assert simulate._chunk_sizes(cfg, 4096, wishart=True) == [4096]
+        chunks = []
+        real = simulate._chunk_sizes
+
+        def recording(*args):
+            chunks.append(real(*args))
+            return chunks[-1]
+
+        monkeypatch.setattr(simulate, "_chunk_sizes", recording)
+        sampler(cfg, (Receiver.MRC,), 4096 + 100, RandomStream(2))
+        assert chunks == [[4096], [100]]
+
     def test_nmse_cost_does_not_grow_with_tp(self):
         # tp = 100 000: the literal chain's tp x tp solve alone would need
         # 160 GB; the sufficient statistic runs under a 1 GiB cap.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mimolink import Receiver, SystemConfig, db_to_linear
+from mimolink import Receiver, SystemConfig, analytic, db_to_linear, training
 from mimolink.analytic import rate_closed_form, rate_quadrature, rate_scan
 from mimolink.largescale import _det_rate, det_rate
 from mimolink.training import (
@@ -78,8 +78,9 @@ class TestTpSearchResult:
                 SearchTrace.from_range(tps, rates)
 
     def test_exhaustive_result_is_compact(self):
-        # A full scan keeps its tp column as a range and its rates as one
-        # typed array: ~2.1 KB at t=200 (3.8 KB with a tp array beside it).
+        # A full scan keeps its tp column as a range and, in place of its
+        # rates, the scan that computed them: ~460 B at t=200 (2.1 KB with
+        # the rates as a typed array, 3.8 KB with a tp array beside them).
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(10), delta=0.05)
         res = optimize_tp_exact(cfg, Receiver.MMSE)  # warms every cache
         tracemalloc.start()
@@ -90,13 +91,36 @@ class TestTpSearchResult:
             retained = with_kept - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained <= 2500
+        assert retained <= 600
         pairs = tuple(zip(range(4, 200), rate_scan(Receiver.MMSE, cfg).tolist()))
         trace = res.trace
         assert tuple(trace) == pairs and list(trace) == list(pairs) and len(trace) == 196
         assert trace == pairs and hash(trace) == hash(pairs)
         assert trace[0] == pairs[0] and trace[-1] == pairs[-1] and trace[3:6] == pairs[3:6]
         assert [type(x) for x in trace[5]] == [int, float]
+        assert pickle.loads(pickle.dumps(res)) == res
+
+    def test_exhaustive_trace_recomputes_its_scan_once(self, monkeypatch):
+        # Building the result runs the scan once; the first read of the
+        # trace runs it once more, later reads not at all, and the rates
+        # read back are the scan's, bit for bit.
+        calls = []
+
+        def counting(receiver, cfg):
+            calls.append(cfg.tp)
+            return rate_scan(receiver, cfg)
+
+        monkeypatch.setattr(training, "rate_scan", counting)
+        cfg = SystemConfig(nt=4, nr=4, t=60, tp=4, rho=db_to_linear(20), delta=0.15)
+        res = optimize_tp_exact(cfg, Receiver.ZF)
+        assert len(calls) == 1
+        first = list(res.trace)
+        assert len(calls) == 2
+        assert res.trace[7] == first[7] and res.trace == tuple(first) and len(res.trace) == 56
+        assert hash(res.trace) == hash(tuple(first)) and len(calls) == 2
+        want = rate_scan(Receiver.ZF, cfg)
+        assert [r for _, r in first] == want.tolist()
+        assert [tp for tp, _ in first] == list(range(4, 60))
         assert pickle.loads(pickle.dumps(res)) == res
 
 
@@ -194,13 +218,16 @@ class TestBatchedScanEngine:
             if cfg.delta > 0:
                 assert rate == pytest.approx(rate_closed_form(receiver, point), rel=1e-8)
 
-    def test_chunked_scan_matches_single_point_rates(self):
-        # 196 training lengths span several chunks of the batched integral;
-        # chunk edges must not show in the trace.
+    def test_chunked_scan_matches_single_point_rates(self, monkeypatch):
+        # With the working set cut to 40 c0 values a chunk, 196 training
+        # lengths span five chunks of the batched integral (a 4x4 scan is
+        # one chunk at the real bound); chunk edges must not show in the
+        # trace.
+        monkeypatch.setattr(analytic, "_WORKING_SET", 40 * analytic._SEED_KNOTS * 41)
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(10), delta=0.05)
         for receiver in Receiver:
             trace = dict(optimize_tp_exact(cfg, receiver).trace)
-            for tp in (4, 5, 20, 21, 22, 38, 39, 100, 198, 199):
+            for tp in (4, 5, 20, 38, 43, 44, 83, 84, 100, 163, 164, 198, 199):
                 assert trace[tp] == pytest.approx(
                     rate_quadrature(receiver, cfg.with_tp(tp)), rel=1e-10
                 )
@@ -228,22 +255,23 @@ class TestBatchedScanEngine:
         assert stars == self.FIG4_TP_STAR[delta, receiver]
 
     # Rates of the scan (4x4, t=12) from the 12-knot seeded u-space
-    # quadrature; a change that moves any bit must re-pin them on purpose.
+    # Gauss-Kronrod quadrature; a change that moves any bit must re-pin them
+    # on purpose.
     RATE_SCAN_PINNED = {
         (0.0, 0.0, Receiver.ZF): [
-            "0x1.30a0b6e3b60b6p-2", "0x1.3068b271008b5p-2", "0x1.203fcf483149dp-2",
-            "0x1.03a744db9c3c0p-2", "0x1.ba53eac6cea21p-3", "0x1.5d57d90554716p-3",
-            "0x1.e6734459c6296p-4", "0x1.f8c81c600ed77p-5",
+            "0x1.30a0b6e3b60c7p-2", "0x1.3068b271008c6p-2", "0x1.203fcf48314adp-2",
+            "0x1.03a744db9c3cfp-2", "0x1.ba53eac6cea36p-3", "0x1.5d57d9055472bp-3",
+            "0x1.e6734459c62afp-4", "0x1.f8c81c600ed93p-5",
         ],
         (10.0, 0.05, Receiver.MRC): [
-            "0x1.709859c2544cdp+1", "0x1.49545947b216dp+1", "0x1.1e58ee1ba0e6bp+1",
-            "0x1.e23cd4e613f7cp+0", "0x1.84db0dcb1dd5bp+0", "0x1.25766acba8f7ep+0",
-            "0x1.8940fb4b7bd26p-1", "0x1.8ae297aed0854p-2",
+            "0x1.709859c2544e7p+1", "0x1.49545947b2182p+1", "0x1.1e58ee1ba0e7ep+1",
+            "0x1.e23cd4e613f98p+0", "0x1.84db0dcb1dd74p+0", "0x1.25766acba8f91p+0",
+            "0x1.8940fb4b7bd3dp-1", "0x1.8ae297aed086cp-2",
         ],
         (30.0, 0.15, Receiver.MMSE): [
-            "0x1.0161f711bcc05p+3", "0x1.da83a54315ffbp+2", "0x1.a76143dce7272p+2",
-            "0x1.6c5bddbcfdf3bp+2", "0x1.2b57464a0b098p+2", "0x1.cb34467591631p+1",
-            "0x1.38186ae666593p+1", "0x1.3d61143622d40p+0",
+            "0x1.0161f711bcc14p+3", "0x1.da83a54316016p+2", "0x1.a76143dce728bp+2",
+            "0x1.6c5bddbcfdf52p+2", "0x1.2b57464a0b0aap+2", "0x1.cb3446759164fp+1",
+            "0x1.38186ae6665a8p+1", "0x1.3d61143622d54p+0",
         ],
     }
 
