@@ -21,6 +21,9 @@ Reproducibility layout: the sweep points of a table are enumerated in a
 fixed nested order (documented at each sweep below); point ``i`` draws from
 the dedicated stream ``RandomStream(seed, stream_id=(i+1) << 20)``,
 leaving stream-id headroom below for the simulator's per-batch offsets.
+Every receiver at a point simulates on that point's stream: ``outage``,
+``rates`` and ``asymptotic`` evaluate all receivers on one shared draw (in
+``rates``, one per distinct optimal training length).
 Sweep points are dispatched to a small thread pool; outputs are assembled
 in enumeration order, so concurrency never changes the bytes.
 
@@ -297,8 +300,13 @@ def _outage(p: dict):
 
 
 def _rates(p: dict):
-    """Point order: snr-major, then delta, then receiver."""
+    """Point order: snr-major, then delta; each point writes one row per
+    receiver, in receiver order.  The point's receivers share its stream:
+    those with the same training length share one simulation, and since the
+    draws do not depend on ``tp``, receivers with different ``tp*`` see
+    common random numbers."""
     fixed_tp = p["tp"]
+    receivers = _receivers(p["receiver"])
     # The ceiling does not depend on rho: one evaluation per distinct
     # (receiver, delta, tp) serves every SNR.
     ceilings: dict = {}
@@ -312,27 +320,33 @@ def _rates(p: dict):
             return ceilings[key]
 
     def work(i, point):
-        snr_db, delta, receiver = point
+        snr_db, delta = point
         base = SystemConfig(
             nt=p["nt"], nr=p["nr"], t=p["t"],
             tp=fixed_tp if fixed_tp is not None else p["nt"],
             rho=db_to_linear(snr_db), delta=delta,
         )
         if fixed_tp is None:
-            opt = optimize_tp_exact(base, receiver)
-            tp_star, analytic = opt.tp_star, opt.rate_at_star
+            opts = [optimize_tp_exact(base, r) for r in receivers]
+            best = [(opt.tp_star, opt.rate_at_star) for opt in opts]
         else:
-            tp_star, analytic = fixed_tp, rate_closed_form(receiver, base)
-        cfg = base.with_tp(tp_star)
-        emp = empirical_rate(cfg, receiver, p["trials"],
-                             _point_stream(p["seed"], i))
-        # Empty exactly where rate_ceiling has no value: delta**2 == 0.
-        ceil = None if delta * delta == 0.0 else ceiling(receiver, cfg)
-        return [[snr_db, str(receiver), delta, analytic, emp, ceil, tp_star]]
+            best = [(fixed_tp, rate_closed_form(r, base)) for r in receivers]
+        tps = [tp for tp, _ in best]
+        emp = {}
+        for tp in dict.fromkeys(tps):
+            group = tuple(r for r, r_tp in zip(receivers, tps) if r_tp == tp)
+            emp |= empirical_rate(base.with_tp(tp), group, p["trials"],
+                                  _point_stream(p["seed"], i))
+        rows = []
+        for receiver, (tp_star, analytic) in zip(receivers, best):
+            # Empty exactly where rate_ceiling has no value: delta**2 == 0.
+            ceil = (None if delta * delta == 0.0
+                    else ceiling(receiver, base.with_tp(tp_star)))
+            rows.append([snr_db, str(receiver), delta, analytic, emp[receiver],
+                         ceil, tp_star])
+        return rows
 
-    receivers = _receivers(p["receiver"])
-    points = [(s, d, r) for s in _grid(p, "snr_db") for d in p["delta"]
-              for r in receivers]
+    points = [(s, d) for s in _grid(p, "snr_db") for d in p["delta"]]
     return points, work, ["snr_dB", "receiver", "delta", "rate_analytic",
                           "rate_empirical", "rate_ceiling", "tp_star"]
 
@@ -365,15 +379,13 @@ def _convergence(p: dict):
         tp = p["tp"] if p["tp"] is not None else nt
         cfg = SystemConfig(nt=nt, nr=nr, t=p["t"], tp=tp,
                            rho=db_to_linear(snr_db), delta=delta)
-        samples = sample_sinr_multi(cfg, receivers, p["trials"],
-                                    _point_stream(p["seed"], i))
+        emp = empirical_rate(cfg, receivers, p["trials"],
+                             _point_stream(p["seed"], i))
         rows = []
         for receiver in receivers:
-            det = det_rate(receiver, cfg)
-            s = samples[receiver].samples
-            emp = (cfg.td / cfg.t) * cfg.nt * float(np.mean(np.log2(1.0 + s)))
-            rows.append([nt, nr, snr_db, str(receiver), delta, det, emp,
-                         abs(det - emp) / emp])
+            det, rate = det_rate(receiver, cfg), emp[receiver]
+            rows.append([nt, nr, snr_db, str(receiver), delta, det, rate,
+                         abs(det - rate) / rate])
         return rows
 
     snrs = _grid(p, "snr_db")

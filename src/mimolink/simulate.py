@@ -30,6 +30,9 @@ draws happen in a fixed order that ``(nr, nt)`` alone selects:
 
 So identical ``(cfg, receiver, trials, seed)`` reproduce bit-identical
 sample sets, independent of how batches would be scheduled across workers.
+Receivers never enter the draws: every receiver of one call is a map of the
+same Gram batch, so a call for several receivers gives each the samples, and
+:func:`empirical_rate` the rate, of a call for that receiver alone.
 Changing the draw order, the ``(nr, nt)`` rule or the batch/chunk partition
 is a breaking change to this contract.
 """
@@ -326,10 +329,19 @@ def _sample_sets(
 ) -> dict[Receiver, SinrSampleSet]:
     """One :class:`SinrSampleSet` per distinct receiver, from the normalized
     Gram matrices ``gram(g, m)`` (m, nt, nt) of each chunk; ``gram`` draws
-    them from their Wishart law exactly when :func:`_wishart` says so."""
+    them from their Wishart law exactly when :func:`_wishart` says so.
+
+    ``receivers`` is a non-empty iterable of :class:`Receiver` or their
+    names (``"mmse"``); a bare receiver, or none at all, raises
+    ``ValueError`` before anything is drawn."""
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    receivers = tuple(dict.fromkeys(receivers))
+    if isinstance(receivers, str):  # a Receiver is a str too
+        raise ValueError(f"receivers must be a tuple of receivers, got the single "
+                         f"receiver {str(receivers)!r}; wrap it as a 1-tuple")
+    receivers = tuple(dict.fromkeys(Receiver(r) for r in receivers))
+    if not receivers:
+        raise ValueError("need at least one receiver")
     _require_zf_ok(cfg.nt, cfg.nr, *receivers)
     dpar = derive_params(cfg)
     parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
@@ -423,12 +435,23 @@ def empirical_nmse(cfg: SystemConfig, trials: int, rs: RandomStream) -> float:
 
 
 def empirical_rate(
-    cfg: SystemConfig, receiver: Receiver, trials: int, rs: RandomStream
-) -> float:
-    """Monte Carlo ergodic achievable rate in bits per channel use:
-    ``(td/t) * nt * mean(log2(1 + sinr))`` over per-stream samples."""
-    s = sample_sinr(cfg, receiver, trials, rs)
-    return (cfg.td / cfg.t) * cfg.nt * float(np.mean(np.log2(1.0 + s.samples)))
+    cfg: SystemConfig, receivers: tuple[Receiver, ...], trials: int, rs: RandomStream
+) -> dict[Receiver, float]:
+    """Monte Carlo ergodic achievable rate of each receiver, in bits per
+    channel use: ``(td/t) * nt * mean(log2(1 + sinr))`` over its per-stream
+    samples.
+
+    One :func:`sample_sinr_multi` pass serves every receiver, so their
+    rates rest on the same channel draws, and each rate equals a call for
+    that receiver alone bit for bit.  The draws do not depend on ``tp``:
+    calls that differ only in ``tp`` and share ``rs`` see common random
+    numbers.
+    """
+    scale = (cfg.td / cfg.t) * cfg.nt
+    return {
+        r: scale * float(np.mean(np.log2(1.0 + s.samples)))
+        for r, s in sample_sinr_multi(cfg, receivers, trials, rs).items()
+    }
 
 
 def empirical_outage(

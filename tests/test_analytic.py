@@ -341,7 +341,8 @@ class TestRateClosedVsQuadrature:
     def test_matches_monte_carlo(self):
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=8, rho=db_to_linear(10), delta=0.05)
         analytic = rate_closed_form(Receiver.MMSE, cfg)
-        mc = empirical_rate(cfg, Receiver.MMSE, 20000, RandomStream(303))
+        mc = empirical_rate(cfg, (Receiver.MMSE,), 20000,
+                            RandomStream(303))[Receiver.MMSE]
         assert analytic == pytest.approx(mc, rel=0.02)
 
 

@@ -20,6 +20,7 @@ from mimolink import (
 )
 from mimolink import cli
 from mimolink.cli import main
+from mimolink.simulate import RandomStream, empirical_rate
 from mimolink.training import optimize_tp_exact
 
 
@@ -366,8 +367,10 @@ class TestGoldenDigests:
     0.3.0: fig2's outage, fig5 and the 4x16 convergence table).  The
     analytic cells of the outage and both rates tables are as computed
     since the quadrature runs on the Gauss-Kronrod 20/41 pair (version
-    0.4.0).  A change that alters a data byte must update these on purpose;
-    a rerun of one build cannot catch that.  The digests cover Monte Carlo cells, so they also
+    0.4.0).  The ``rate_empirical`` cells of both rates tables are as
+    written since the receivers at a rates point share its simulation
+    (version 0.5.0).  A change that alters a data byte must update these on
+    purpose; a rerun of one build cannot catch that.  The digests cover Monte Carlo cells, so they also
     pin this platform's numpy and BLAS rounding."""
 
     @staticmethod
@@ -381,7 +384,7 @@ class TestGoldenDigests:
           "--threshold-db-step", "5"],
          {"outage.csv": "c9320f2937c11746f0c04e614b84384756019b1b7e16bf422660382ebd4a21ad"}),
         (["rates", "--preset", "fig3", "--trials", "64", "--snr-db-step", "10"],
-         {"rates.csv": "06995462144fa1549b93a10e06ccc0bb5f87bb0006e5113eee140f831097e1d1"}),
+         {"rates.csv": "830ef303a7a7554001791247687e5977d1607c9b28f208fcbee4e0fe8ef09b72"}),
         (["opt-tp", "--preset", "fig4"],
          {"opt_tp.csv": "4d181bac316ac3e31d4f09b417ef5f098cabd04b282288a14fadc920dbfb5803"}),
         (["asymptotic", "--preset", "fig5", "--trials", "64"],
@@ -423,7 +426,7 @@ class TestGoldenDigests:
         ])
         assert res.exit_code == 0, res.output
         assert self._digest(tmp_path / "rates.csv") == (
-            "dcdf4b7ba23f06cc4a3ec2583c706dddb387253f945ee94cbe29d77ee2e901ff"
+            "d241b94b19731bada31ae8b4f89b3ce4692905ff63dc70f0b0505603f0816f1a"
         )
         # The ceiling is rho-independent: one evaluation per (receiver,
         # delta > 0), not one per SNR.
@@ -474,6 +477,78 @@ class TestAnalyticColumns:
             want = sinr_cdf(Receiver(row[col["receiver"]]), cfg,
                             float(row[col["threshold"]]))
             assert float(row[col["outage_analytic"]]) == want
+
+
+class TestSharedDraw:
+    """The receivers at a rates point share the point's stream: one
+    simulation per distinct training length, drawn from
+    ``RandomStream(seed, (i+1) << 20)`` for the (snr, delta) index ``i``."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        calls = []
+
+        def counting(cfg, receivers, trials, rs):
+            calls.append((cfg.tp, tuple(receivers)))
+            return empirical_rate(cfg, receivers, trials, rs)
+
+        monkeypatch.setattr(cli, "empirical_rate", counting)
+        return calls
+
+    @staticmethod
+    def _rows_by_point(path):
+        """``{(snr_dB, delta): rows}`` in point order (dicts keep it)."""
+        header, rows = _read_csv(path)
+        col = {name: i for i, name in enumerate(header)}
+        points = {}
+        for row in rows:
+            key = (float(row[col["snr_dB"]]), float(row[col["delta"]]))
+            points.setdefault(key, []).append(
+                {name: row[i] for name, i in col.items()})
+        return points
+
+    def test_fixed_tp_one_call_per_point(self, tmp_path, monkeypatch):
+        calls = self._counting(monkeypatch)
+        res = _run(["rates", "--tp", "8", "--trials", "64", "--snr-db-step", "25",
+                    "--seed", "777", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        # 3 SNRs x 3 deltas, each one call for every receiver.
+        assert calls == [(8, tuple(Receiver))] * 9
+        points = self._rows_by_point(tmp_path / "rates.csv")
+        assert len(points) == 9
+        for i, ((snr_db, delta), rows) in enumerate(points.items()):
+            cfg = SystemConfig(nt=4, nr=4, t=200, tp=8, rho=db_to_linear(snr_db),
+                               delta=delta)
+            want = empirical_rate(cfg, tuple(Receiver), 64,
+                                  RandomStream(777, (i + 1) << 20))
+            assert [r["receiver"] for r in rows] == ["zf", "mrc", "mmse"]
+            for row in rows:
+                assert float(row["rate_empirical"]) == want[Receiver(row["receiver"])]
+
+    def test_optimized_tp_groups_share_the_point_stream(self, tmp_path,
+                                                        monkeypatch):
+        # At delta = 0, 30 dB the three tp* differ (11, 4, 10); at 40 dB ZF
+        # and MMSE share tp* = 9, so that point makes two calls.
+        calls = self._counting(monkeypatch)
+        res = _run(["rates", "--preset", "fig3", "--trials", "64",
+                    "--snr-db-min", "30", "--snr-db-max", "40",
+                    "--snr-db-step", "10", "--delta", "0", "--seed", "777",
+                    "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        points = self._rows_by_point(tmp_path / "rates.csv")
+        tps = [[int(r["tp_star"]) for r in rows] for rows in points.values()]
+        assert tps == [[11, 4, 10], [9, 4, 9]]
+        zf, mrc, mmse = Receiver
+        assert sorted(calls) == sorted([(11, (zf,)), (4, (mrc,)), (10, (mmse,)),
+                                        (9, (zf, mmse)), (4, (mrc,))])
+        for i, ((snr_db, delta), rows) in enumerate(points.items()):
+            stream = RandomStream(777, (i + 1) << 20)
+            for row in rows:
+                receiver = Receiver(row["receiver"])
+                cfg = SystemConfig(nt=4, nr=4, t=200, tp=int(row["tp_star"]),
+                                   rho=db_to_linear(snr_db), delta=delta)
+                want = empirical_rate(cfg, (receiver,), 64, stream)[receiver]
+                assert float(row["rate_empirical"]) == want
 
 
 class TestPresets:

@@ -342,6 +342,26 @@ class TestReproducibility:
         single = sample_sinr(cfg, Receiver.ZF, 2000, RandomStream(77))
         np.testing.assert_array_equal(multi[Receiver.ZF].samples, single.samples)
 
+    @pytest.mark.parametrize("nr", [4, 16], ids=["estimate", "wishart"])
+    def test_shared_rate_equals_single_receiver_calls(self, nr):
+        # Each receiver's rate from one shared pass equals its own call.
+        cfg = SystemConfig(nt=4, nr=nr, t=100, tp=6, rho=10.0, delta=0.1)
+        shared = empirical_rate(cfg, tuple(Receiver), 5000, RandomStream(78))
+        assert list(shared) == list(Receiver)
+        for r in Receiver:
+            assert shared[r] == empirical_rate(cfg, (r,), 5000, RandomStream(78))[r]
+
+    def test_rate_prefix_stability(self):
+        # A shorter run's rates are the reducer over the first trials of a
+        # longer run's samples.
+        cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=10.0, delta=0.1)
+        short = empirical_rate(cfg, tuple(Receiver), 4096, RandomStream(9))
+        long = sample_sinr_multi(cfg, tuple(Receiver), 8192, RandomStream(9))
+        for r in Receiver:
+            head = long[r].samples[: 4096 * cfg.nt]
+            want = (cfg.td / cfg.t) * cfg.nt * float(np.mean(np.log2(1.0 + head)))
+            assert short[r] == want
+
     @pytest.mark.parametrize("sampler, digest", [
         (sample_sinr_model,
          "f6f846aa1ed53a1ad1a18d74dae20fe45fb1388f6a6973f6e7b726afbbd11001"),
@@ -434,6 +454,41 @@ class TestSinrSamples:
         s = sample_sinr(cfg, Receiver.MRC, 2000, RandomStream(41))
         assert np.all(s.samples > 0)
         assert s.samples.shape == (2000 * 4,)
+
+    @pytest.mark.parametrize("entry", [sample_sinr_multi, sample_sinr_model,
+                                       empirical_rate])
+    def test_bare_receiver_asks_for_a_tuple(self, entry):
+        cfg = SystemConfig(nt=2, nr=2, t=20, tp=2, rho=1.0)
+        for bare in (Receiver.MMSE, "mmse"):
+            with pytest.raises(ValueError, match="tuple"):
+                entry(cfg, bare, 10, RandomStream(1))
+
+    @pytest.mark.parametrize("entry", [sample_sinr_multi, sample_sinr_model,
+                                       empirical_rate])
+    def test_receiver_names_are_coerced(self, entry):
+        cfg = SystemConfig(nt=2, nr=2, t=20, tp=2, rho=1.0, delta=0.1)
+        named = entry(cfg, ("mmse", "zf"), 10, RandomStream(1))
+        typed = entry(cfg, (Receiver.MMSE, Receiver.ZF), 10, RandomStream(1))
+        assert all(type(k) is Receiver for k in named)
+        assert list(named) == [Receiver.MMSE, Receiver.ZF]
+        for r in typed:
+            got, want = named[r], typed[r]
+            if entry is not empirical_rate:
+                got, want = got.samples.tolist(), want.samples.tolist()
+            assert got == want
+        with pytest.raises(ValueError):
+            entry(cfg, ("mmse", "lmmse"), 10, RandomStream(1))
+
+    @pytest.mark.parametrize("entry", [sample_sinr_multi, sample_sinr_model,
+                                       empirical_rate])
+    def test_no_receivers_raises_before_drawing(self, entry, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew trials for no receiver")
+
+        monkeypatch.setattr(simulate, "_batches", no_draws)
+        cfg = SystemConfig(nt=2, nr=2, t=20, tp=2, rho=1.0)
+        with pytest.raises(ValueError, match="at least one receiver"):
+            entry(cfg, (), 10, RandomStream(1))
 
     def test_zf_needs_nr_at_least_nt(self):
         cfg = SystemConfig(nt=4, nr=3, t=100, tp=4, rho=1.0)
@@ -542,7 +597,8 @@ class TestOutageAndRate:
 
     def test_rate_definition(self):
         cfg = SystemConfig(nt=4, nr=4, t=100, tp=10, rho=10.0, delta=0.05)
-        rate = empirical_rate(cfg, Receiver.MMSE, 2000, RandomStream(71))
+        rate = empirical_rate(cfg, (Receiver.MMSE,), 2000,
+                              RandomStream(71))[Receiver.MMSE]
         s = sample_sinr(cfg, Receiver.MMSE, 2000, RandomStream(71))
         expected = (cfg.td / cfg.t) * cfg.nt * np.mean(np.log2(1 + s.samples))
         assert rate == pytest.approx(expected, rel=1e-12)
