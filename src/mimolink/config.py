@@ -57,12 +57,14 @@ class Receiver(str, Enum):
 
 def db_to_linear(snr_db: float) -> float:
     """Convert an SNR given in dB to linear scale."""
+    if math.isnan(snr_db):
+        raise ValueError(f"SNR in dB must be a number, got {snr_db}")
     return 10.0 ** (snr_db / 10.0)
 
 
 def linear_to_db(snr: float) -> float:
     """Convert a linear SNR to dB."""
-    if snr <= 0:
+    if not snr > 0:
         raise ValueError(f"SNR must be positive, got {snr}")
     return 10.0 * math.log10(snr)
 
@@ -89,13 +91,10 @@ class SystemConfig:
     delta: float = 0.0
 
     def __post_init__(self) -> None:
-        # Plain ints pass on one identity check (this runs for every copy a
-        # tp scan makes); anything else must be integral, as numpy ints are.
-        if not type(self.nt) is type(self.nr) is type(self.t) is type(self.tp) is int:
-            for name in ("nt", "nr", "t", "tp"):
-                value = getattr(self, name)
-                if not isinstance(value, numbers.Integral):
-                    raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("nt", "nr", "t", "tp"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.nt < 1 or self.nr < 1:
             raise ValueError(
                 f"antenna counts must be >= 1, got nt={self.nt}, nr={self.nr}"

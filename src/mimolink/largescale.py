@@ -57,6 +57,8 @@ def det_sinr(receiver: Receiver, beta: float, c1, delta: float) -> float | np.nd
         raise ValueError(f"need beta >= 1, got {beta}")
     if not np.all(c1 > 0.0):
         raise ValueError(f"need c1 > 0, got {c1}")
+    if not 0.0 <= delta < math.inf:
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
     d2 = delta * delta
     if receiver is Receiver.ZF:
         if not beta > 1.0:
@@ -75,8 +77,8 @@ def det_sinr(receiver: Receiver, beta: float, c1, delta: float) -> float | np.nd
 def det_sinr_limit(delta: float) -> float:
     """Common SINR limit ``1/delta^2`` of all receivers as beta grows
     without bound (undefined at delta = 0, where no finite limit exists)."""
-    if delta <= 0.0:
-        raise ValueError(f"the beta -> inf limit needs delta > 0, got {delta}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"the beta -> inf limit needs finite delta > 0, got {delta}")
     return 1.0 / (delta * delta)
 
 

@@ -229,6 +229,13 @@ def _batches(cfg: SystemConfig, trials: int, rs: RandomStream, wishart: bool = F
             yield g, m
 
 
+def _estimator_scalars(cfg: SystemConfig) -> tuple[float, float, float]:
+    """``a = sqrt(rho/nt)``, ``k = a / (a^2 tp + delta^2 rho + 1)`` and
+    ``sqrt(tp)``, the scalars of :func:`_estimate_batches`."""
+    a = math.sqrt(cfg.rho / cfg.nt)
+    return a, a / (a * a * cfg.tp + cfg.delta**2 * cfg.rho + 1.0), math.sqrt(cfg.tp)
+
+
 def _estimate_batches(
     cfg: SystemConfig, g: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +260,7 @@ def _estimate_batches(
     h = _cn(g, (n, cfg.nr, cfg.nt))
     e = _cn(g, (n, cfg.nt, cfg.nt))
     w = _cn(g, (n, cfg.nr, cfg.nt))
-    a = math.sqrt(cfg.rho / cfg.nt)
-    k = a / (a * a * cfg.tp + cfg.delta**2 * cfg.rho + 1.0)
-    root_tp = math.sqrt(cfg.tp)
+    a, k, root_tp = _estimator_scalars(cfg)
     hhat = h @ e
     hhat *= cfg.delta * root_tp
     hhat += cfg.tp * h
@@ -300,9 +305,7 @@ def _wishart_gram(cfg: SystemConfig, g: np.random.Generator, m: int) -> np.ndarr
     none of them depending on ``nr``.  Draw order: ``E``, then ``T``.
     """
     nt = cfg.nt
-    a = math.sqrt(cfg.rho / nt)
-    k = a / (a * a * cfg.tp + cfg.delta**2 * cfg.rho + 1.0)
-    root_tp = math.sqrt(cfg.tp)
+    a, k, root_tp = _estimator_scalars(cfg)
     root_est = math.sqrt(derive_params(cfg).sigma2_est)
     diag = np.arange(nt)
     mm = _cn(g, (m, nt, nt))

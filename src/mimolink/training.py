@@ -19,15 +19,16 @@ through ``c0``) but shortens the data phase; the ergodic-rate objective
 
 Both exhaustive scans share one reduction of the rate vector (the first
 argmax), and both methods tie-break toward the smallest training length, so
-results are unique and replays are bit-identical.  An exhaustive result
-keeps the scan that made it, not a copy of its rates: its trace recomputes
-them on first read, bit for bit, so a kept result costs a few hundred bytes.
+results are unique and replays are bit-identical.  A trace reads as a tuple
+of ``(tp, rate)`` pairs; an exhaustive one keeps its scan, not its rates,
+and runs it again on first read, so a kept result costs a few hundred bytes.
 """
 
 from __future__ import annotations
 
-from array import array
-from collections.abc import Iterable, Sequence
+import numbers
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -39,69 +40,35 @@ from .analytic import rate_scan
 from .config import Receiver, SystemConfig
 from .largescale import det_rate, det_rate_scan
 
-__all__ = ["SearchTrace", "TpSearchResult", "optimize_tp_exact", "optimize_tp_asymptotic"]
+__all__ = ["TpSearchResult", "optimize_tp_exact", "optimize_tp_asymptotic"]
 
 _TERNARY_MIN_T = 10_000
 _TERNARY_WINDOW = 24
 
 
-def _rate_array(rates: np.ndarray) -> array:
-    out = array("d")
-    out.frombytes(np.ascontiguousarray(rates, dtype=np.float64).tobytes())
-    return out
+def _pair(tp, rate) -> tuple[int, float]:
+    """One trace pair as ``(int, float)``, or ``TypeError``."""
+    if not isinstance(rate, numbers.Real):
+        raise TypeError(f"trace rates must be real numbers, got {rate!r}")
+    return operator.index(tp), float(rate)
 
 
-class SearchTrace(Sequence):
-    """Immutable ``(tp, rate)`` pairs of a search, stored as two typed arrays.
+class _ScanTrace(Sequence):
+    """The ``(tp, rate)`` pairs of a full scan, read lazily: it keeps the
+    ``range`` of ``tp`` and the scan, runs the scan on first read and keeps
+    its rates, and reads, compares, hashes and pickles as the tuple of
+    pairs, with the same bits on every read."""
 
-    It reads, compares equal to, hashes and pickles like the tuple of pairs
-    it holds, at 16 bytes a pair instead of the ~100 of a tuple of tuples of
-    Python numbers, which matters to callers that keep many full-range
-    scans.  The ``tp`` column of a full scan is a ``range``, so it holds 8
-    bytes a pair.  A full scan may also keep the scan that computed its
-    rates (:meth:`from_range` with ``scan``); once the rates are dropped,
-    the first read recomputes and caches them, and the same code gives the
-    same bits.
-    """
+    __slots__ = ("_tps", "_scan", "_cache")
 
-    __slots__ = ("_tps", "_cache", "_scan")
-
-    def __init__(self, pairs: Iterable[tuple[int, float]]) -> None:
-        self._tps = array("q")
-        self._cache = array("d")
-        self._scan = None
-        for tp, rate in pairs:
-            if self._tps and tp <= self._tps[-1]:
-                raise ValueError("trace pairs must be strictly increasing in tp")
-            self._tps.append(tp)
-            self._cache.append(rate)
-
-    @classmethod
-    def from_range(
-        cls, tps: range, rates: np.ndarray, scan: Callable[[], np.ndarray] | None = None
-    ) -> "SearchTrace":
-        """Trace of the pairs ``zip(tps, rates)`` of a full scan: the
-        increasing ``range`` is kept as it is, the rates are copied in one
-        step.  ``scan``, if given, recomputes ``rates`` bit for bit, and
-        :meth:`_drop_rates` may then release them."""
-        if tps.step < 1 or len(tps) != len(rates):
-            raise ValueError("a scan trace needs an increasing tp range, one rate per tp")
-        trace = cls(())
-        trace._tps = tps
-        trace._cache = _rate_array(rates)
-        trace._scan = scan
-        return trace
+    def __init__(self, tps: range, scan: Callable[[], np.ndarray]) -> None:
+        self._tps, self._scan, self._cache = tps, scan, None
 
     @property
-    def _rates(self) -> array:
+    def _rates(self) -> list[float]:
         if self._cache is None:
-            self._cache = _rate_array(self._scan())
+            self._cache = self._scan().tolist()
         return self._cache
-
-    def _drop_rates(self) -> None:
-        """Release the rates of a trace that keeps its scan."""
-        if self._scan is not None:
-            self._cache = None
 
     def __len__(self) -> int:
         return len(self._tps)
@@ -115,15 +82,13 @@ class SearchTrace(Sequence):
         return zip(self._tps, self._rates)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (SearchTrace, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
+        return tuple(self) == other
 
     def __hash__(self) -> int:
         return hash(tuple(self))
 
     def __reduce__(self):
-        return SearchTrace, (tuple(self),)  # the pairs: a scan need not pickle
+        return tuple, (tuple(self),)  # the pairs: a scan need not pickle
 
     def __repr__(self) -> str:
         return repr(tuple(self))
@@ -136,12 +101,11 @@ class TpSearchResult:
     Attributes:
         tp_star: optimal training length (smallest maximizer on ties).
         rate_at_star: objective value at ``tp_star``.
-        trace: every evaluated ``(tp, rate)`` pair, sorted by ``tp`` —
-            the full feasible range for the exhaustive method (recomputed
-            on first read), the probed subset for the ternary method.  Any
-            sequence of pairs strictly increasing in ``tp`` is accepted and
-            stored as a :class:`SearchTrace`; other pairs raise
-            ``ValueError``.
+        trace: every evaluated ``(tp, rate)`` pair, sorted by ``tp``: the
+            full feasible range for the exhaustive method (run on first
+            read), the probed subset for the ternary method.  Any iterable
+            of pairs strictly increasing in ``tp`` is stored as a tuple of
+            ``(int, float)``; other pairs raise ``ValueError`` or ``TypeError``.
         method: ``"exhaustive"`` or ``"concave-bisection"``.
     """
 
@@ -151,43 +115,42 @@ class TpSearchResult:
     method: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.trace, SearchTrace):
-            object.__setattr__(self, "trace", SearchTrace(self.trace))
         if self.method not in ("exhaustive", "concave-bisection"):
             raise ValueError(f"unknown search method: {self.method!r}")
-        if not self.trace:
+        if isinstance(self.trace, _ScanTrace):  # checked without building pairs
+            tps, rates = self.trace._tps, self.trace._rates
+            increasing = tps.step > 0
+        else:
+            object.__setattr__(self, "trace", tuple(_pair(*p) for p in self.trace))
+            tps, rates = zip(*self.trace) if self.trace else ((), ())
+            increasing = all(map(operator.lt, tps, tps[1:]))
+        if not tps:
             raise ValueError("empty search trace")
-        rates = self.trace._rates
+        if not increasing:
+            raise ValueError("trace pairs must be strictly increasing in tp")
         best = max(rates)
         if not self.rate_at_star == best:
             raise ValueError("rate_at_star must equal the best traced rate")
         # The trace is sorted by tp, so the first maximizer is the smallest.
-        if self.tp_star != self.trace._tps[rates.index(best)]:
+        if self.tp_star != tps[rates.index(best)]:
             raise ValueError("tp_star must be the smallest maximizer in the trace")
 
 
 def _exhaustive(cfg: SystemConfig, scan: Callable[[], np.ndarray]) -> TpSearchResult:
     """Search result of the full scan ``scan()``, whose entry ``i`` is the
     rate at ``tp = nt + i``; the first argmax is the smallest maximizer.
-
-    The scan runs once.  The result keeps ``scan`` in place of the rates,
-    which its trace recomputes on first read.
-    """
+    The result is checked against the scan's rates, then keeps ``scan`` in
+    their place: its trace runs the scan again on first read."""
     rates = scan()
     i = int(np.argmax(rates))
-    trace = SearchTrace.from_range(range(cfg.nt, cfg.t), rates, scan)
-    result = TpSearchResult(
-        tp_star=cfg.nt + i,
-        rate_at_star=float(rates[i]),
-        trace=trace,
-        method="exhaustive",
-    )
-    trace._drop_rates()  # checked by TpSearchResult against these rates
+    trace = _ScanTrace(range(cfg.nt, cfg.t), scan)
+    trace._cache = rates.tolist()
+    result = TpSearchResult(cfg.nt + i, trace._cache[i], trace, "exhaustive")
+    trace._cache = None
     return result
 
 
 def _ternary(cfg: SystemConfig, objective: Callable[[int], float]) -> TpSearchResult:
-    lo, hi = cfg.nt, cfg.t - 1
     cache: dict[int, float] = {}
 
     def f(tp: int) -> float:
@@ -197,7 +160,7 @@ def _ternary(cfg: SystemConfig, objective: Callable[[int], float]) -> TpSearchRe
 
     # Narrow the bracket by unimodality, then settle the final window
     # exhaustively so plateaus and float ties cannot mislead the search.
-    a, b = lo, hi
+    a, b = cfg.nt, cfg.t - 1
     while b - a > _TERNARY_WINDOW:
         m1 = a + (b - a) // 3
         m2 = b - (b - a) // 3
@@ -209,11 +172,8 @@ def _ternary(cfg: SystemConfig, objective: Callable[[int], float]) -> TpSearchRe
         f(tp)
 
     trace = tuple(sorted(cache.items()))
-    best = max(r for _, r in trace)
-    tp_star = min(tp for tp, r in trace if r == best)
-    return TpSearchResult(
-        tp_star=tp_star, rate_at_star=best, trace=trace, method="concave-bisection"
-    )
+    tp_star, best = max(trace, key=lambda pair: pair[1])  # the first maximizer
+    return TpSearchResult(tp_star, best, trace, "concave-bisection")
 
 
 def optimize_tp_exact(cfg: SystemConfig, receiver: Receiver) -> TpSearchResult:

@@ -100,6 +100,11 @@ class TestDbConversion:
         with pytest.raises(ValueError):
             linear_to_db(0.0)
 
+    @pytest.mark.parametrize("convert", [linear_to_db, db_to_linear])
+    def test_rejects_nan(self, convert):
+        with pytest.raises(ValueError):
+            convert(math.nan)
+
 
 class TestDerivedParams:
     def test_epsilon_and_nmse_ideal(self):

@@ -166,6 +166,16 @@ class TestDetSinrLimit:
             det_sinr_limit(0.0)
 
 
+@pytest.mark.parametrize("receiver", list(Receiver) + [None])
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -0.1])
+def test_bad_delta_raises_instead_of_nan(receiver, delta):
+    with pytest.raises(ValueError):
+        if receiver is None:
+            det_sinr_limit(delta)
+        else:
+            det_sinr(receiver, 2.0, 0.2, delta)
+
+
 class TestDetRate:
     def test_reference_value(self):
         # (nt=32, nr=64, t=500, tp=32, rho=10, delta=0), ZF:

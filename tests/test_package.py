@@ -1,5 +1,7 @@
 """Tests for the package's public surface."""
 
+import importlib
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,16 @@ import mimolink
 def test_every_exported_name_resolves():
     assert len(set(mimolink.__all__)) == len(mimolink.__all__)
     missing = [name for name in mimolink.__all__ if not hasattr(mimolink, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(mimolink.__path__))
+)
+def test_every_submodule_exported_name_resolves(name):
+    module = importlib.import_module(f"mimolink.{name}")
+    assert len(set(module.__all__)) == len(module.__all__)
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
 
 

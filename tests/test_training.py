@@ -11,12 +11,7 @@ from hypothesis import given, settings, strategies as st
 from mimolink import Receiver, SystemConfig, analytic, db_to_linear, training
 from mimolink.analytic import rate_closed_form, rate_quadrature, rate_scan
 from mimolink.largescale import _det_rate, det_rate
-from mimolink.training import (
-    SearchTrace,
-    TpSearchResult,
-    optimize_tp_asymptotic,
-    optimize_tp_exact,
-)
+from mimolink.training import TpSearchResult, optimize_tp_asymptotic, optimize_tp_exact
 
 
 class TestTpSearchResult:
@@ -70,17 +65,29 @@ class TestTpSearchResult:
                 method="exhaustive",
             )
 
-    def test_range_trace_needs_increasing_range_and_one_rate_per_tp(self):
-        rates = np.array([1.0, 2.0])
-        assert SearchTrace.from_range(range(4, 6), rates) == ((4, 1.0), (5, 2.0))
-        for tps in (range(5, 3, -1), range(4, 7)):
-            with pytest.raises(ValueError, match="increasing tp range"):
-                SearchTrace.from_range(tps, rates)
+    def test_trace_input_contract(self):
+        # Any iterable of pairs; numpy scalars read back as int and float.
+        pairs = iter([(np.int64(4), np.float64(2.0)), (np.int32(5), np.float32(1.0))])
+        r = TpSearchResult(tp_star=np.int64(4), rate_at_star=2.0, trace=pairs,
+                           method="exhaustive")
+        assert r.trace == ((4, 2.0), (5, 1.0))
+        assert [type(x) for pair in r.trace for x in pair] == [int, float] * 2
+        for bad in (((4.0, 2.0),), ((4, "2.0"),), ((4, None),), ((4, 2j),)):
+            with pytest.raises(TypeError):
+                TpSearchResult(tp_star=4, rate_at_star=2.0, trace=bad, method="exhaustive")
+
+    def test_exhaustive_scan_holding_nan_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            training, "rate_scan", lambda receiver, cfg: np.array([1.0, np.nan, 0.5, 0.2])
+        )
+        cfg = SystemConfig(nt=4, nr=4, t=8, tp=4, rho=db_to_linear(10), delta=0.05)
+        with pytest.raises(ValueError, match="best traced rate"):
+            optimize_tp_exact(cfg, Receiver.ZF)
 
     def test_exhaustive_result_is_compact(self):
         # A full scan keeps its tp column as a range and, in place of its
-        # rates, the scan that computed them: ~460 B at t=200 (2.1 KB with
-        # the rates as a typed array, 3.8 KB with a tp array beside them).
+        # rates, the scan that computed them: ~460 B at t=200, against
+        # ~17 KB for the 196 pairs as a tuple of (int, float) tuples.
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(10), delta=0.05)
         res = optimize_tp_exact(cfg, Receiver.MMSE)  # warms every cache
         tracemalloc.start()
