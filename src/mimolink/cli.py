@@ -19,11 +19,11 @@ match, 1 on any mismatch.
 
 Reproducibility layout: the sweep points of a table are enumerated in a
 fixed nested order (documented at each sweep below); point ``i`` draws from
-the dedicated stream ``RandomStream(seed, stream_id=(i+1) << 20)``,
-leaving stream-id headroom below for the simulator's per-batch offsets.
-Every receiver at a point simulates on that point's stream: ``outage``,
-``rates`` and ``asymptotic`` evaluate all receivers on one shared draw (in
-``rates``, one per distinct optimal training length).
+the stream ``RandomStream(seed, stream_id=i)``, which the simulator reads
+trial by trial, so a run's first N trials per point equal a run at
+``--trials N``.  Every receiver at a point simulates on that point's
+stream: ``outage``, ``rates`` and ``asymptotic`` evaluate all receivers on
+one shared draw (in ``rates``, one per distinct optimal training length).
 Sweep points are dispatched to a small thread pool; outputs are assembled
 in enumeration order, so concurrency never changes the bytes.
 
@@ -195,11 +195,6 @@ def _receivers(name: str) -> tuple[Receiver, ...]:
     return (Receiver(name),)
 
 
-def _point_stream(seed: int, index: int) -> RandomStream:
-    # Leave the low stream-id bits for the simulator's per-batch offsets.
-    return RandomStream(seed, stream_id=(index + 1) << 20)
-
-
 def _write_files(out_dir: Path, fmt: str, tables: dict) -> dict[str, str]:
     """Write every table as CSV or JSON; return ``{filename: sha256hex}``."""
     digests: dict[str, str] = {}
@@ -265,7 +260,7 @@ def _nmse(p: dict):
         cfg = SystemConfig(nt=p["nt"], nr=p["nr"], t=p["t"], tp=p["tp"],
                            rho=db_to_linear(snr_db), delta=delta)
         dp = derive_params(cfg)
-        emp = empirical_nmse(cfg, p["trials"], _point_stream(p["seed"], i))
+        emp = empirical_nmse(cfg, p["trials"], RandomStream(p["seed"], i))
         return [[snr_db, delta, dp.sigma2_err, dp.sigma2_err_floor, emp]]
 
     points = [(s, d) for s in _grid(p, "snr_db") for d in p["delta"]]
@@ -287,7 +282,7 @@ def _outage(p: dict):
         cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp + 2, tp=tp, rho=rho,
                            delta=delta)
         samples = sample_sinr_multi(cfg, receivers, p["trials"],
-                                    _point_stream(p["seed"], i))
+                                    RandomStream(p["seed"], i))
         return [[nt, nr, x, str(r), delta, cdf, emp]
                 for r in receivers
                 for x, cdf, emp in zip(thresholds,
@@ -336,7 +331,7 @@ def _rates(p: dict):
         for tp in dict.fromkeys(tps):
             group = tuple(r for r, r_tp in zip(receivers, tps) if r_tp == tp)
             emp |= empirical_rate(base.with_tp(tp), group, p["trials"],
-                                  _point_stream(p["seed"], i))
+                                  RandomStream(p["seed"], i))
         rows = []
         for receiver, (tp_star, analytic) in zip(receivers, best):
             # Empty exactly where rate_ceiling has no value: delta**2 == 0.
@@ -380,7 +375,7 @@ def _convergence(p: dict):
         cfg = SystemConfig(nt=nt, nr=nr, t=p["t"], tp=tp,
                            rho=db_to_linear(snr_db), delta=delta)
         emp = empirical_rate(cfg, receivers, p["trials"],
-                             _point_stream(p["seed"], i))
+                             RandomStream(p["seed"], i))
         rows = []
         for receiver in receivers:
             det, rate = det_rate(receiver, cfg), emp[receiver]

@@ -59,7 +59,10 @@ def db_to_linear(snr_db: float) -> float:
     """Convert an SNR given in dB to linear scale."""
     if math.isnan(snr_db):
         raise ValueError(f"SNR in dB must be a number, got {snr_db}")
-    return 10.0 ** (snr_db / 10.0)
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        raise ValueError(f"SNR of {snr_db} dB overflows a float") from None
 
 
 def linear_to_db(snr: float) -> float:
@@ -193,12 +196,21 @@ def derive_params_at(cfg: SystemConfig, tp: int | np.ndarray) -> DerivedParams:
     sigma2_err = 1.0 / (1.0 + epsilon)
     sigma2_est = epsilon / (1.0 + epsilon)
 
-    c0 = nt * (rho + rho * d2 + 1.0 + epsilon) / (rho * epsilon)
+    # At extreme rho, rho * epsilon under- or overflows, and the SINR maps
+    # would divide by a c0 of inf or 0.
+    rho_eps = rho * epsilon
+    c0 = math.inf
+    if np.all(rho_eps > 0):
+        c0 = nt * (rho + rho * d2 + 1.0 + epsilon) / rho_eps
+    if not np.all(c0 < math.inf):
+        raise ValueError(f"rho={rho!r} is too small to evaluate: c0 is inf")
+    if not np.all(c0 > 0.0):
+        raise ValueError(f"rho={rho!r} is too large to evaluate: c0 is 0")
     c0_bar = d2 * (1.0 + d2) * nt * nt / tp
     # Rounded as nt * delta * delta: the bits the nmse floor column has had.
     sigma2_err_floor = 0.0 if d2 == 0.0 else 1.0 / (1.0 + tp / (nt * delta * delta))
 
-    c1 = (rho + rho * d2 + 1.0 + epsilon) / (rho * epsilon)
+    c1 = (rho + rho * d2 + 1.0 + epsilon) / rho_eps
     beta = cfg.nr / nt
 
     return DerivedParams(

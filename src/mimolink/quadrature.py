@@ -15,9 +15,10 @@ Integrands may be scalar (``f(x) -> values``) or vectorized families
 (``f(x) -> (m, len(x))``); in the family case every component must meet its
 own tolerance before an interval is accepted.
 
-Failure to converge within the refinement budget, or a non-finite integrand
-value, raises :class:`~mimolink.config.AccuracyError` rather than returning a
-degraded value.
+Failure to converge within the refinement budget, a level that would
+evaluate more than ``_MAX_NODE_VALUES`` integrand values, or a non-finite
+integrand value, raises :class:`~mimolink.config.AccuracyError` rather than
+returning a degraded value.
 """
 
 from __future__ import annotations
@@ -61,6 +62,13 @@ _WG_HALF = (
     0.13168863844917664, 0.14209610931838204, 0.14917298647260374,
     0.15275338713072584,
 )
+
+# Most integrand values (components x intervals x 41 nodes) one level may
+# evaluate: 128 MiB as float64.  Breadth-first bisection doubles the
+# intervals at every level, so an integrand whose scale the seed knots miss
+# would otherwise grow until memory runs out.  The test suite peaks at 7.7M
+# values, the CLI presets at 0.1M.
+_MAX_NODE_VALUES = 1 << 24
 
 # The full rules, nodes ascending; G20's nodes are _XK[1::2].
 _XK = np.concatenate([np.negative(_XGK_HALF[:-1]), _XGK_HALF[::-1]])
@@ -119,7 +127,8 @@ def integrate_family(
 
     Raises:
         AccuracyError: if some interval still fails its tolerance after
-            ``max_levels`` refinements.
+            ``max_levels`` refinements, or if a level would evaluate more
+            than ``_MAX_NODE_VALUES`` component values.
     """
     if not b > a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
@@ -134,6 +143,13 @@ def integrate_family(
     done_sum = None  # integral over retired intervals, per component
     done_err = None  # error estimate carried by retired intervals
     for level in range(max_levels + 1):
+        components = 1 if done_sum is None else done_sum.size
+        if components * lo.size * _XK.size > _MAX_NODE_VALUES:
+            raise AccuracyError(
+                f"quadrature on [{a}, {b}] would evaluate {components} component(s) "
+                f"on {lo.size} intervals at level {level}, more than "
+                f"{_MAX_NODE_VALUES} values"
+            )
         fine, coarse = _eval_panels(f, lo, hi)
         if not (np.all(np.isfinite(fine)) and np.all(np.isfinite(coarse))):
             # No refinement can fix a non-finite integrand; bisecting anyway

@@ -18,10 +18,12 @@ from mimolink import (
     rate_closed_form,
     sinr_cdf,
 )
-from mimolink import cli
+from mimolink import cli, simulate
 from mimolink.cli import main
 from mimolink.simulate import RandomStream, empirical_rate
 from mimolink.training import optimize_tp_exact
+
+from _util import run_capped
 
 
 def _run(args):
@@ -359,44 +361,42 @@ class TestReproducibilityAndVerify:
 class TestGoldenDigests:
     """SHA-256 of output files: fig6 as written before the asymptotic scan
     was vectorized, ``opt-tp`` and the ``both`` run's tp table as written
-    before the CLI's sweeps shared one runner, and every table with Monte
-    Carlo cells as written since the simulator draws the channel estimate
-    from its sufficient statistic (version 0.2.0; the fixed-tp rates run
-    also since the ceiling comes from the quadrature engine), or, where
-    nr >= 2 nt, the estimate's Gram matrix from its Wishart law (version
-    0.3.0: fig2's outage, fig5 and the 4x16 convergence table).  The
-    analytic cells of the outage and both rates tables are as computed
-    since the quadrature runs on the Gauss-Kronrod 20/41 pair (version
-    0.4.0).  The ``rate_empirical`` cells of both rates tables are as
-    written since the receivers at a rates point share its simulation
-    (version 0.5.0).  A change that alters a data byte must update these on
-    purpose; a rerun of one build cannot catch that.  The digests cover Monte Carlo cells, so they also
-    pin this platform's numpy and BLAS rounding."""
+    before the CLI's sweeps shared one runner.  The analytic cells of the
+    outage and both rates tables are as computed since the quadrature runs
+    on the Gauss-Kronrod 20/41 pair (version 0.4.0).  Every Monte Carlo
+    cell is as drawn since each point's simulator call reads its one stream
+    trial by trial, from stream id ``i`` for point ``i`` (version 0.6.0).
+    A change that alters a data byte must update these on purpose; a rerun
+    of one build cannot catch that.  The digests cover Monte Carlo cells,
+    so they also pin this platform's numpy and BLAS rounding."""
 
     @staticmethod
     def _digest(path):
         return hashlib.sha256(path.read_bytes()).hexdigest()
 
-    @pytest.mark.parametrize("args, digests", [
+    _RUNS = [
         (["nmse", "--preset", "fig1", "--trials", "64"],
-         {"nmse.csv": "a87b9595a8ddc65a0a057a968fd17a10e23163f64c356d99ad5da9797c8e08e5"}),
+         {"nmse.csv": "b5a4c14e8ebf54a4a9a091af7957062f4fb1236a2fb5c1509918c53c903034df"}),
         (["outage", "--preset", "fig2", "--trials", "256",
           "--threshold-db-step", "5"],
-         {"outage.csv": "c9320f2937c11746f0c04e614b84384756019b1b7e16bf422660382ebd4a21ad"}),
+         {"outage.csv": "87d3b33480ce8b30219481f71ac73be2d20ac4d65c716e27f3f5389616b50045"}),
         (["rates", "--preset", "fig3", "--trials", "64", "--snr-db-step", "10"],
-         {"rates.csv": "830ef303a7a7554001791247687e5977d1607c9b28f208fcbee4e0fe8ef09b72"}),
+         {"rates.csv": "83cf80f715e057a8f816a8798c097a12a36d69394352dd7ae0a1c2445ef47f7f"}),
         (["opt-tp", "--preset", "fig4"],
          {"opt_tp.csv": "4d181bac316ac3e31d4f09b417ef5f098cabd04b282288a14fadc920dbfb5803"}),
         (["asymptotic", "--preset", "fig5", "--trials", "64"],
          {"asymptotic_convergence.csv":
-          "2b1ae585eb4e1956d96ffc884559c64ca67bfeb9c1de7c262add76be605b7a12"}),
+          "5ea381f8c9c79606015c07cda5706204689191157df1bde3e0f92ef9b8c44c63"}),
         (["asymptotic", "--mode", "both", "--config", "4x16", "--t", "100",
           "--trials", "64", "--snr-db-step", "20"],
          {"asymptotic_convergence.csv":
-          "865316b4c93445cfa9666ba91f35e938ac7cf0171854d87998825b95e5e7a138",
+          "b38bb9f0920f1c68d796ef4caf58f7f78911690e76fa817efcb12f9ee2ab31b0",
           "asymptotic_tp.csv":
           "4c89182f8c56f0db993769220cb94f70873ee26a8aa7f7ba52ea3b5ad27a57c9"}),
-    ], ids=["nmse", "outage", "rates", "opt-tp", "fig5", "both"])
+    ]
+    _IDS = ["nmse", "outage", "rates", "opt-tp", "fig5", "both"]
+
+    @pytest.mark.parametrize("args, digests", _RUNS, ids=_IDS)
     def test_subcommand(self, tmp_path, args, digests):
         # opt-tp draws nothing random and takes no --seed.
         seed = [] if args[0] == "opt-tp" else ["--seed", "777"]
@@ -404,6 +404,13 @@ class TestGoldenDigests:
         assert res.exit_code == 0, res.output
         written = {p.name: self._digest(p) for p in tmp_path.glob("*.csv")}
         assert written == digests
+
+    @pytest.mark.parametrize("args, digests", _RUNS, ids=_IDS)
+    def test_chunk_budget_moves_no_digest(self, tmp_path, monkeypatch, args, digests):
+        # Chunks bound memory only: with every simulator call split into
+        # chunks of a few trials, every table keeps its bytes.
+        monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 256)
+        self.test_subcommand(tmp_path, args, digests)
 
     def test_asymptotic_fig6(self, tmp_path):
         res = _run(["asymptotic", "--preset", "fig6", "--out", str(tmp_path)])
@@ -426,7 +433,7 @@ class TestGoldenDigests:
         ])
         assert res.exit_code == 0, res.output
         assert self._digest(tmp_path / "rates.csv") == (
-            "d241b94b19731bada31ae8b4f89b3ce4692905ff63dc70f0b0505603f0816f1a"
+            "8129ecf5089ee8475f6e8f56aa964be21fe7580db8980891647d441cbdb61409"
         )
         # The ceiling is rho-independent: one evaluation per (receiver,
         # delta > 0), not one per SNR.
@@ -482,7 +489,7 @@ class TestAnalyticColumns:
 class TestSharedDraw:
     """The receivers at a rates point share the point's stream: one
     simulation per distinct training length, drawn from
-    ``RandomStream(seed, (i+1) << 20)`` for the (snr, delta) index ``i``."""
+    ``RandomStream(seed, i)`` for the (snr, delta) index ``i``."""
 
     @staticmethod
     def _counting(monkeypatch):
@@ -520,7 +527,7 @@ class TestSharedDraw:
             cfg = SystemConfig(nt=4, nr=4, t=200, tp=8, rho=db_to_linear(snr_db),
                                delta=delta)
             want = empirical_rate(cfg, tuple(Receiver), 64,
-                                  RandomStream(777, (i + 1) << 20))
+                                  RandomStream(777, i))
             assert [r["receiver"] for r in rows] == ["zf", "mrc", "mmse"]
             for row in rows:
                 assert float(row["rate_empirical"]) == want[Receiver(row["receiver"])]
@@ -542,7 +549,7 @@ class TestSharedDraw:
         assert sorted(calls) == sorted([(11, (zf,)), (4, (mrc,)), (10, (mmse,)),
                                         (9, (zf, mmse)), (4, (mrc,))])
         for i, ((snr_db, delta), rows) in enumerate(points.items()):
-            stream = RandomStream(777, (i + 1) << 20)
+            stream = RandomStream(777, i)
             for row in rows:
                 receiver = Receiver(row["receiver"])
                 cfg = SystemConfig(nt=4, nr=4, t=200, tp=int(row["tp_star"]),
@@ -734,6 +741,23 @@ class TestErrorPaths:
         assert "points, more than 1000000" in res.output
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ["nmse", "--snr-db-min", "4000", "--snr-db-max", "4000"],
+        ["outage", "--snr-db", "3000"],
+        ["asymptotic", "--mode", "both", "--config", "2x8", "--t", "40",
+         "--snr-db-min", "3000", "--snr-db-max", "3000"],
+        ["rates", "--tp", "8", "--snr-db-min", "-3000", "--snr-db-max", "-3000",
+         "--delta", "0.1"],
+    ], ids=["overflowing-snr", "c0-zero", "c0-zero-both", "c0-inf"])
+    def test_extreme_snr_is_usage_error(self, tmp_path, args):
+        # 10^(dB/10) overflows, or rho * epsilon under- or overflows so that
+        # c0 would be 0 or inf: a usage error naming the cause, no traceback.
+        res = _run([*args, "--trials", "64", "--out", str(tmp_path)])
+        assert res.exit_code == 2, res.output
+        assert "dB overflows" in res.output or "rho=" in res.output
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+
     def test_grid_at_the_cap_is_built(self):
         grid = cli._grid({"x_min": 0.0, "x_max": 1.0, "x_step": 1.0 / 999_999}, "x")
         assert len(grid) == cli._MAX_GRID_POINTS
@@ -752,6 +776,19 @@ class TestErrorPaths:
         ])
         assert res.exit_code == 3
         assert "quadrature failed to converge" in res.output
+
+    def test_runaway_quadrature_maps_to_exit_3(self, tmp_path):
+        # At delta = 0 and 700 dB the rate integral's bisection would grow
+        # until memory ran out; under a 1 GiB cap it stops at the
+        # quadrature's node budget, an accuracy failure.
+        out = run_capped(
+            "from mimolink.cli import main\n"
+            "main(['opt-tp', '--snr-db-min', '700', '--snr-db-max', '700',\n"
+            f"      '--delta', '0', '--out', {str(tmp_path)!r}], prog_name='mimolink')\n",
+            cap_gib=1,
+        )
+        assert out.returncode == 3, out.stderr
+        assert "accuracy failure" in out.stderr and "Traceback" not in out.stderr
 
     def test_version_flag(self):
         res = _run(["--version"])

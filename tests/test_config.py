@@ -1,6 +1,7 @@
 """Tests for system configuration and derived scalars."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,12 @@ class TestDbConversion:
         with pytest.raises(ValueError):
             convert(math.nan)
 
+    def test_overflow_is_value_error(self):
+        # 10 ** (dB / 10) overflows a float above about 3083 dB.
+        with pytest.raises(ValueError, match="overflows"):
+            db_to_linear(4000.0)
+        assert db_to_linear(3000.0) == pytest.approx(1e300)
+
 
 class TestDerivedParams:
     def test_epsilon_and_nmse_ideal(self):
@@ -169,6 +176,20 @@ class TestDerivedParams:
         cfg = SystemConfig(nt=5, nr=30, t=100, tp=7, rho=3.7, delta=0.05)
         dp = derive_params(cfg)
         assert dp.c1 == pytest.approx(dp.c0 / cfg.nt, rel=1e-14)
+
+    @pytest.mark.parametrize("rho, delta, match", [
+        (1e300, 0.0, "too large to evaluate: c0 is 0"),
+        (1e-300, 0.1, "too small to evaluate: c0 is inf"),
+        (1e-160, 0.0, "too small to evaluate: c0 is inf"),
+    ])
+    def test_extreme_rho_names_rho(self, rho, delta, match):
+        # rho * epsilon under- or overflows: c0 would be 0 or inf, and every
+        # SINR map would divide by it.
+        cfg = SystemConfig(nt=4, nr=4, t=200, tp=8, rho=rho, delta=delta)
+        with pytest.raises(ValueError, match=re.escape(f"rho={rho!r} is {match}")):
+            derive_params(cfg)
+        with pytest.raises(ValueError, match="rho="):
+            derive_params_at(cfg, np.arange(4, 200))
 
     def test_pure_function(self):
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=0.1)

@@ -36,3 +36,12 @@ def test_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == mimolink.__version__
+
+
+def test_readme_quickstart_runs():
+    # The README's Python quickstart, run as written: a signature change
+    # that leaves it stale fails here.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quickstart", "exec"), {})

@@ -10,6 +10,8 @@ from mimolink import AccuracyError
 from mimolink import quadrature
 from mimolink.quadrature import integrate, integrate_family
 
+from _util import run_capped
+
 
 def _gauss_kronrod_20_41(dps=60):
     """The Gauss-Kronrod 20/41 pair on [-1, 1] at ``dps`` digits: the
@@ -162,6 +164,41 @@ class TestIntegrate:
         with pytest.raises(AccuracyError, match="not finite"):
             integrate(f, 0.0, 1.0, max_levels=3)
         assert calls == [41]  # one call at the K41 nodes of level 0
+
+    def test_level_over_the_node_budget_raises_before_evaluating(self, monkeypatch):
+        # An oscillation far finer than the seed intervals fails every
+        # interval, so bisection doubles them level after level; the level
+        # that would pass the budget raises before its integrand call.
+        monkeypatch.setattr(quadrature, "_MAX_NODE_VALUES", 3 * 8 * 41)
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return np.stack([np.sin(1e6 * x)] * 3)
+
+        with pytest.raises(AccuracyError, match="more than 984 values"):
+            integrate_family(f, 0.0, 1.0, rel_tol=1e-15, abs_tol=0.0)
+        assert max(calls) * 3 <= 3 * 8 * 41
+
+    def test_runaway_refinement_raises_under_a_memory_cap(self):
+        # At delta = 0 and 700 dB, c0 ~ 1e-70 sits far below the rate
+        # integral's seed knots, so bisection alone would have to resolve
+        # its scale, doubling the intervals level after level until memory
+        # ran out.  ZF and MMSE stop at the node budget; MRC's active
+        # intervals stay few, and it stops at the level budget.
+        out = run_capped(
+            "from mimolink import AccuracyError, Receiver, SystemConfig, db_to_linear\n"
+            "from mimolink.training import optimize_tp_exact\n"
+            "cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(700.0))\n"
+            "for r in Receiver:\n"
+            "    try:\n"
+            "        optimize_tp_exact(cfg, r)\n"
+            "    except AccuracyError as exc:\n"
+            "        print(r, 'nodes' if 'values' in str(exc) else 'levels')\n",
+            cap_gib=1,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["zf", "nodes", "mrc", "levels", "mmse", "nodes"]
 
     def test_rejects_multi_component_integrand(self):
         with pytest.raises(ValueError):

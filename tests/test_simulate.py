@@ -19,9 +19,7 @@ from mimolink import simulate
 from mimolink.config import _require_zf_ok
 from mimolink.simulate import (
     RandomStream,
-    _batches,
     _cn,
-    _estimate_batches,
     _gram_sinr,
     empirical_nmse,
     empirical_outage,
@@ -70,10 +68,6 @@ class TestRandomStream:
         b = RandomStream(42, 1).generator().standard_normal(8)
         assert not np.allclose(a, b)
 
-    def test_shifted(self):
-        rs = RandomStream(7, stream_id=3)
-        assert rs.shifted(5) == RandomStream(7, stream_id=8)
-
     def test_complex_draw_layout(self):
         # Entry k takes the real part from draw 2k and the imaginary part
         # from draw 2k+1: the layout the replay contract fixes.
@@ -115,6 +109,24 @@ class TestLmmseEstimate:
         assert yp.shape == (6, 5)
 
 
+def _fill(*blocks):
+    """One chunk's draws (m, k) from per-trial blocks (m, ...), in order."""
+    return np.concatenate([b.reshape(len(b), -1) for b in blocks], axis=1)
+
+
+def _record_chunks(monkeypatch):
+    """Record ``(per_trial, chunk sizes)`` of every chunk loop."""
+    chunks = []
+    real = simulate._chunks
+
+    def recording(trials, per_trial):
+        chunks.append((per_trial, list(real(trials, per_trial))))
+        return iter(chunks[-1][1])
+
+    monkeypatch.setattr(simulate, "_chunks", recording)
+    return chunks
+
+
 def _literal_chain_stream0(cfg, receivers, trials, seed):
     """Stream-0 SINRs from the literal pilot chain: pilots through
     ``gen_pilot_matrix``, distortion and noise of length ``tp``, and the
@@ -142,7 +154,7 @@ class TestSufficientStatistic:
         (4, 4, 4, 0.1), (4, 4, 96, 0.1), (8, 64, 64, 0.1), (2, 3, 7, 0.0),
         (16, 512, 16, 0.15),
     ])
-    def test_same_draws_same_estimate(self, monkeypatch, nt, nr, tp, delta):
+    def test_same_draws_same_estimate(self, nt, nr, tp, delta):
         # Feed one (H, Dp, Vp) through both paths: E and W are the
         # distortion and noise seen through the orthonormal Sp^H / sqrt(tp).
         cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp, tp=tp, rho=db_to_linear(20),
@@ -154,10 +166,9 @@ class TestSufficientStatistic:
         yp = math.sqrt(cfg.rho / nt) * h @ (sp + delta * d) + vp
         want = lmmse_estimate(yp, sp, cfg)
         root = math.sqrt(tp)
-        fed = iter([h, d @ sp.conj().T / root, vp @ sp.conj().T / root])
-        monkeypatch.setattr(simulate, "_cn", lambda _g, shape: next(fed))
-        h_out, got = simulate._estimate_batches(cfg, None, n)
-        assert h_out is h
+        fill = _fill(h, d @ sp.conj().T / root, vp @ sp.conj().T / root)
+        h_out, got = simulate._estimate(cfg, fill)
+        assert np.shares_memory(h_out, fill) and np.array_equal(h_out, h)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("nt, nr, tp, snr_db, delta, trials", [
@@ -198,46 +209,45 @@ class TestSufficientStatistic:
     @pytest.mark.parametrize("nt, nr, tp, snr_db, delta", [
         (4, 8, 4, 30, 0.175), (3, 40, 9, 10, 0.3), (2, 4, 2, 0, 0.0),
     ])
-    def test_wishart_conditional_moment(self, monkeypatch, nt, nr, tp, snr_db, delta):
+    def test_wishart_conditional_moment(self, nt, nr, tp, snr_db, delta):
         # With E fixed, E[G | E] = nr Sigma(E) / sigma2_est.  Sigma comes from
-        # the estimate path, which is linear in (H, W): fed H = I and W = 0
-        # it returns M, fed H = 0 and W = I it returns c I.
+        # the estimate path, which is linear in (H, W): fed H = [I; 0] and
+        # W = 0 it returns [M; 0], fed H = 0 and W = [I; 0] it returns [c I; 0].
         cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp, tp=tp, rho=db_to_linear(snr_db),
                            delta=delta)
         e = _cn(np.random.default_rng(3), (1, nt, nt))
-        eye, zero = np.eye(nt)[None].astype(complex), np.zeros((1, nt, nt), complex)
-        fed = iter([eye, e, zero, zero, e, eye])
-        monkeypatch.setattr(simulate, "_cn", lambda _g, shape: next(fed))
-        m_mat = simulate._estimate_batches(cfg, None, 1)[1][0]
-        c_mat = simulate._estimate_batches(cfg, None, 1)[1][0]
-        monkeypatch.undo()
+        top = np.eye(nr, nt)[None].astype(complex)
+        zero = np.zeros((1, nr, nt), complex)
+        m_mat = simulate._estimate(cfg, _fill(top, e, zero))[1][0]
+        c_mat = simulate._estimate(cfg, _fill(zero, e, top))[1][0]
         sigma = (m_mat.conj().T @ m_mat + c_mat.conj().T @ c_mat) / derive_params(
             cfg).sigma2_est
 
-        shapes = []
-
-        def fixed_e(g, shape):
-            shapes.append(shape)
-            return np.repeat(e, shape[0], axis=0) if len(shapes) == 1 else _cn(g, shape)
-
-        monkeypatch.setattr(simulate, "_cn", fixed_e)
+        # The Wishart path's draws per trial: E first, then the Bartlett
+        # factor's entries below the diagonal; the gammas from their own
+        # generator.
         n = 20000
-        grams = simulate._wishart_gram(cfg, np.random.default_rng(4), n)
-        assert shapes[0] == (n, nt, nt)
+        g = np.random.default_rng(4)
+        per_trial, gram = simulate._gram_source(cfg, model=False)
+        assert per_trial == nt * nt + nt * (nt - 1) // 2
+        fill = _fill(np.repeat(e, n, axis=0), _cn(g, (n, per_trial - nt * nt)))
+        grams = gram(fill, g)
         # Var(G_ij) = nr Sigma_ii Sigma_jj for CW(nt, nr, Sigma).
         scale = np.sqrt(np.diag(sigma).real)
         std_err = np.sqrt(nr / n) * np.outer(scale, scale)
         assert np.all(np.abs(grams.mean(axis=0) - nr * sigma) <= 5 * std_err)
 
-    def test_chunks_do_not_depend_on_tp(self):
-        # The chunk partition is part of the replay contract; it reads only
-        # the antenna counts, and splits a batch once max(nr, nt) * nt
-        # outgrows the per-array element cap.
-        cfg = SystemConfig(nt=64, nr=512, t=200_000, tp=64, rho=1.0)
-        sizes = simulate._chunk_sizes(cfg, 4096)
-        assert sizes == [512] * 8
-        assert simulate._chunk_sizes(cfg.with_tp(100_000), 4096) == sizes
-        assert simulate._chunk_sizes(cfg.with_tp(100_000), 1000) == [512, 488]
+    def test_chunks_do_not_depend_on_tp(self, monkeypatch):
+        # No draw grows with tp: the draws per trial, and so the chunks that
+        # bound memory, read only the antenna counts.
+        chunks = _record_chunks(monkeypatch)
+        cfg = SystemConfig(nt=16, nr=16, t=200_000, tp=16, rho=1.0)
+        for tp in (16, 100_000):
+            sample_sinr_multi(cfg.with_tp(tp), (Receiver.MRC,), 600, RandomStream(1))
+            empirical_nmse(cfg.with_tp(tp), 600, RandomStream(1))
+        per_trial, sizes = chunks[0]
+        assert per_trial == 3 * 16 * 16 and len(sizes) > 1 and sum(sizes) == 600
+        assert chunks == [chunks[0]] * 4
 
     @pytest.mark.parametrize("sampler", [sample_sinr_multi, sample_sinr_model],
                              ids=["sample_sinr_multi", "sample_sinr_model"])
@@ -258,8 +268,9 @@ class TestSufficientStatistic:
                     return out
                 return counted
 
-        real = RandomStream.generator
-        monkeypatch.setattr(RandomStream, "generator", lambda rs: Counting(real(rs)))
+        real = simulate._generators
+        monkeypatch.setattr(simulate, "_generators",
+                            lambda rs: tuple(Counting(g) for g in real(rs)))
         nt, trials = 8, 64
         per_trial = []
         for nr in (16, 4096):
@@ -276,22 +287,17 @@ class TestSufficientStatistic:
     @pytest.mark.parametrize("sampler", [sample_sinr_multi, sample_sinr_model],
                              ids=["sample_sinr_multi", "sample_sinr_model"])
     def test_wishart_batch_is_one_chunk(self, monkeypatch, sampler):
-        # The Wishart path holds (m, nt, nt) arrays only, so its chunks are
-        # sized by nt^2: at 8x4096 a batch is one chunk, where the estimate
-        # path's max(nr, nt) nt per trial splits it eight ways.
-        cfg = SystemConfig(nt=8, nr=4096, t=20, tp=8, rho=10.0, delta=0.1)
-        assert simulate._chunk_sizes(cfg, 4096) == [512] * 8
-        assert simulate._chunk_sizes(cfg, 4096, wishart=True) == [4096]
-        chunks = []
-        real = simulate._chunk_sizes
-
-        def recording(*args):
-            chunks.append(real(*args))
-            return chunks[-1]
-
-        monkeypatch.setattr(simulate, "_chunk_sizes", recording)
-        sampler(cfg, (Receiver.MRC,), 4096 + 100, RandomStream(2))
-        assert chunks == [[4096], [100]]
+        # The Wishart path draws (m, nt, nt) arrays only, so a batch of
+        # trials that is one chunk at 8x16 is one chunk at 8x4096 too, where
+        # the estimate path would draw 2 nr nt + nt^2 normals per trial.
+        chunks = _record_chunks(monkeypatch)
+        e_draws = 64 if sampler is sample_sinr_multi else 0
+        per_trial = e_draws + 28
+        batch = simulate._CHUNK_ELEMENTS // per_trial
+        for nr in (16, 4096):
+            cfg = SystemConfig(nt=8, nr=nr, t=20, tp=8, rho=10.0, delta=0.1)
+            sampler(cfg, (Receiver.MRC,), batch, RandomStream(2))
+        assert chunks == [(per_trial, [batch])] * 2
 
     def test_nmse_cost_does_not_grow_with_tp(self):
         # tp = 100 000: the literal chain's tp x tp solve alone would need
@@ -316,15 +322,50 @@ class TestReproducibility:
         np.testing.assert_array_equal(a.samples, b.samples)
         assert a.trials == 5000 and a.seed == 123
 
-    def test_batch_prefix_stability(self):
-        # Each 4096-trial batch draws from its own substream, so the first
-        # batch of a longer run matches a shorter run bit for bit.
-        cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=10.0, delta=0.1)
-        short = sample_sinr(cfg, Receiver.ZF, 4096, RandomStream(9))
-        long = sample_sinr(cfg, Receiver.ZF, 8192, RandomStream(9))
-        np.testing.assert_array_equal(
-            long.samples[: 4096 * cfg.nt], short.samples
-        )
+    @pytest.mark.parametrize("nr", [4, 16], ids=["estimate", "wishart"])
+    @pytest.mark.parametrize("entry", [sample_sinr_multi, sample_sinr_model,
+                                       empirical_rate])
+    def test_prefix_is_a_shorter_run(self, entry, nr):
+        # A call reads its stream trial by trial, so an N-trial run is the
+        # first N trials of a longer one for any N, chunk boundaries or not.
+        cfg = SystemConfig(nt=4, nr=nr, t=100, tp=4, rho=10.0, delta=0.1)
+        sampler = sample_sinr_multi if entry is empirical_rate else entry
+        long = sampler(cfg, tuple(Receiver), 10_000, RandomStream(9))
+        scale = (cfg.td / cfg.t) * cfg.nt
+        for n in (1, 100, 4095, 4097, 9000):
+            short = entry(cfg, tuple(Receiver), n, RandomStream(9))
+            for r in Receiver:
+                head = long[r].samples[: n * cfg.nt]
+                if entry is empirical_rate:
+                    assert short[r] == scale * float(np.mean(np.log2(1.0 + head))), (n, r)
+                else:
+                    assert np.array_equal(short[r].samples, head), (n, r)
+
+    @pytest.mark.parametrize("nr", [4, 16], ids=["estimate", "wishart"])
+    def test_chunk_budget_moves_no_bit(self, monkeypatch, nr):
+        # Chunks bound memory only: with a budget that splits every call
+        # into chunks of one or two trials, every sample and the NMSE are
+        # the same bits.
+        cfg = SystemConfig(nt=4, nr=nr, t=100, tp=4, rho=10.0, delta=0.1)
+
+        def run():
+            sets = [sample_sinr_multi(cfg, tuple(Receiver), 999, RandomStream(3)),
+                    sample_sinr_model(cfg, tuple(Receiver), 999, RandomStream(3))]
+            return ([s[r].samples.tobytes() for s in sets for r in Receiver],
+                    empirical_nmse(cfg, 999, RandomStream(3)))
+
+        want = run()
+        monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 100)
+        assert run() == want
+
+    @pytest.mark.parametrize("entry", [sample_sinr_multi, sample_sinr_model,
+                                       empirical_rate, empirical_nmse])
+    @pytest.mark.parametrize("trials", [0, 2.5, 1000.0])
+    def test_trials_must_be_a_positive_integer(self, entry, trials):
+        cfg = SystemConfig(nt=2, nr=2, t=20, tp=2, rho=1.0)
+        args = () if entry is empirical_nmse else ((Receiver.ZF,),)
+        with pytest.raises(ValueError, match="integer trials >= 1"):
+            entry(cfg, *args, trials, RandomStream(1))
 
     def test_empirical_nmse_deterministic(self):
         cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=10.0, delta=0.05)
@@ -364,14 +405,14 @@ class TestReproducibility:
 
     @pytest.mark.parametrize("sampler, digest", [
         (sample_sinr_model,
-         "f6f846aa1ed53a1ad1a18d74dae20fe45fb1388f6a6973f6e7b726afbbd11001"),
+         "2afe5a5ddbba9aa2ebb14963f5838b151a4ca79a4f1459d8ee6a08fa28ae7701"),
         (sample_sinr_multi,
-         "c4e510c9109c233adc7ca8c035ffd5bb7dadf7ede363478b208bc092c554024d"),
+         "b0e1f0dc40c8ef96b5b7aa8822f72ca04fca065a380f23e6ac95905c0abcd94a"),
     ], ids=["sample_sinr_model", "sample_sinr_multi"])
-    def test_golden_samples_across_two_batches(self, sampler, digest):
-        # SHA-256 of the ZF, MRC and MMSE sample bytes; 5000 trials span two
-        # 4096-trial batches.  A change that alters a sample bit must update
-        # these on purpose.
+    def test_golden_samples(self, sampler, digest):
+        # SHA-256 of the ZF, MRC and MMSE sample bytes of 5000 trials, as
+        # drawn since version 0.6.0 (trial-major, one stream per call).  A
+        # change that alters a sample bit must update these on purpose.
         cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=db_to_linear(10.0), delta=0.1)
         sets = sampler(cfg, tuple(Receiver), 5000, RandomStream(2024, 3))
         h = hashlib.sha256()
@@ -485,7 +526,7 @@ class TestSinrSamples:
         def no_draws(*args, **kwargs):
             raise AssertionError("drew trials for no receiver")
 
-        monkeypatch.setattr(simulate, "_batches", no_draws)
+        monkeypatch.setattr(simulate, "_generators", no_draws)
         cfg = SystemConfig(nt=2, nr=2, t=20, tp=2, rho=1.0)
         with pytest.raises(ValueError, match="at least one receiver"):
             entry(cfg, (), 10, RandomStream(1))
@@ -510,8 +551,6 @@ def validate_sinr_end_to_end(
     covariance ``R_z`` of the interference-plus-distortion-plus-noise term,
     and returns the maximum relative deviation from the Gram-matrix values.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
     _require_zf_ok(cfg.nt, cfg.nr, receiver)
     dpar = derive_params(cfg)
     scale = cfg.rho / cfg.nt
@@ -520,29 +559,29 @@ def validate_sinr_end_to_end(
     )
     eye = np.eye(cfg.nr)
     worst = 0.0
-    for g, m in _batches(cfg, trials, rs):
-        hhat = _estimate_batches(cfg, g, m)[1]
-        gram = (hhat.conj().swapaxes(-1, -2) @ hhat) / dpar.sigma2_est
-        reference = _gram_sinr(gram, receiver, dpar, cfg.delta)
-        outer = hhat @ hhat.conj().swapaxes(-1, -2)
-        r_base = scale * (1.0 + cfg.delta**2) * outer + noise_var * eye
-        for k in range(cfg.nt):
-            hk = hhat[:, :, k]
-            r_z = r_base - scale * (hk[:, :, None] @ hk.conj()[:, None, :])
-            if receiver is Receiver.ZF:
-                pinv = np.linalg.solve(
-                    hhat.conj().swapaxes(-1, -2) @ hhat, hhat.conj().swapaxes(-1, -2)
-                )
-                a = pinv[:, k, :].conj()
-            elif receiver is Receiver.MRC:
-                a = hk
-            else:
-                a = np.linalg.solve(r_z, hk[:, :, None])[:, :, 0]
-            num = scale * np.abs(np.einsum("ni,ni->n", a.conj(), hk)) ** 2
-            den = np.einsum("ni,nij,nj->n", a.conj(), r_z, a).real
-            sinr = num / den
-            dev = np.abs(sinr - reference[:, k]) / reference[:, k]
-            worst = max(worst, float(dev.max()))
+    per_trial = 2 * cfg.nr * cfg.nt + cfg.nt * cfg.nt
+    hhat = simulate._estimate(cfg, _cn(rs.generator(), (trials, per_trial)))[1]
+    gram = (hhat.conj().swapaxes(-1, -2) @ hhat) / dpar.sigma2_est
+    reference = _gram_sinr(gram, receiver, dpar, cfg.delta)
+    outer = hhat @ hhat.conj().swapaxes(-1, -2)
+    r_base = scale * (1.0 + cfg.delta**2) * outer + noise_var * eye
+    for k in range(cfg.nt):
+        hk = hhat[:, :, k]
+        r_z = r_base - scale * (hk[:, :, None] @ hk.conj()[:, None, :])
+        if receiver is Receiver.ZF:
+            pinv = np.linalg.solve(
+                hhat.conj().swapaxes(-1, -2) @ hhat, hhat.conj().swapaxes(-1, -2)
+            )
+            a = pinv[:, k, :].conj()
+        elif receiver is Receiver.MRC:
+            a = hk
+        else:
+            a = np.linalg.solve(r_z, hk[:, :, None])[:, :, 0]
+        num = scale * np.abs(np.einsum("ni,ni->n", a.conj(), hk)) ** 2
+        den = np.einsum("ni,nij,nj->n", a.conj(), r_z, a).real
+        sinr = num / den
+        dev = np.abs(sinr - reference[:, k]) / reference[:, k]
+        worst = max(worst, float(dev.max()))
     return worst
 
 
