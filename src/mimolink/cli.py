@@ -18,14 +18,19 @@ that contract); ``verify`` automates the check and exits 0 on a full
 match, 1 on any mismatch.
 
 Reproducibility layout: the sweep points of a table are enumerated in a
-fixed nested order (documented at each sweep below); point ``i`` draws from
-the stream ``RandomStream(seed, stream_id=i)``, which the simulator reads
-trial by trial, so a run's first N trials per point equal a run at
-``--trials N``.  Every receiver at a point simulates on that point's
-stream: ``outage``, ``rates`` and ``asymptotic`` evaluate all receivers on
-one shared draw (in ``rates``, one per distinct optimal training length).
-Sweep points are dispatched to a small thread pool; outputs are assembled
-in enumeration order, so concurrency never changes the bytes.
+fixed nested order (documented at each sweep below).  Every Monte Carlo
+point draws from its antenna configuration's stream,
+``RandomStream(seed, stream_id=c)`` with ``c`` the configuration's index in
+the table (0 for ``nmse`` and ``rates``, the ``--config`` index for
+``outage`` and the convergence table).  The simulator reads it trial by
+trial, so a run's first N trials per point equal a run at ``--trials N``,
+and the points of one configuration see common random numbers: each cell
+keeps its own law, but cells of one configuration are correlated.  Every
+receiver at a point simulates on the same draw (in ``rates``, one per
+distinct optimal training length).  Contiguous runs of one configuration's
+points go to a small thread pool, each run simulated in one pass; outputs
+are assembled in enumeration order, and a point's draws do not depend on
+its run, so neither the pool nor the runs change the bytes.
 
 Exit codes: 0 success; 2 usage error (bad flags or infeasible parameter
 combinations); 3 internal accuracy failure (a numerical routine could not
@@ -53,6 +58,7 @@ fig6     asymptotic   8x16 and 8x256, T=500, delta {0,.15} (training)
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -157,6 +163,8 @@ PRESETS: dict[str, dict] = {
 
 def _fmt(x) -> str:
     """One CSV cell: full-precision floats, plain ints, empty for missing."""
+    if type(x) is float:  # most cells: tested first, numpy scalars below
+        return f"{x:.17g}"
     if x is None:
         return ""
     if isinstance(x, (bool, str)):
@@ -243,63 +251,97 @@ def _emit(out_dir: Path, subcommand: str, params: dict, tables: dict,
 
 # --------------------------------------------------------------------------
 # Sweeps.  Each output table is declared by a function of the resolved
-# params that returns ``(points, work, columns)``: the sweep points in their
-# nested order, a pure ``work(i, point) -> rows`` and the column names, or
-# None when the params leave the table out.  ``_sweep`` maps ``work`` over
-# the points; the tables are pure functions of the params, which is what
-# lets `verify` replay them bit-for-bit.  ``work`` calls the library through
-# this module's globals at run time, so a wrapper bound there afterwards (a
-# tracer, a test's counter) sees every call.
+# params that returns ``(points, work, columns, keep)``, or None when the
+# params leave the table out:
+#
+# * ``points``: the sweep points in their nested order, each paired with the
+#   index ``c`` of its antenna configuration in the table (0 where the table
+#   has one); every Monte Carlo point of configuration ``c`` draws from
+#   ``RandomStream(seed, c)``;
+# * ``work(c, run) -> rows``: a pure map from a contiguous run of the points
+#   of configuration ``c`` to their rows, in point order;
+# * ``columns``: the column names;
+# * ``keep``: ``keep(c)`` is how many values one point of configuration
+#   ``c`` keeps while its run is simulated; None where every point runs
+#   alone.
+#
+# ``_sweep`` maps ``work`` over runs of the points; the tables are pure
+# functions of the params, which is what lets `verify` replay them
+# bit-for-bit.  ``work`` calls the library through this module's globals at
+# run time, so a wrapper bound there afterwards (a tracer, a test's
+# counter) sees every call.
+
+# Values one pool task keeps: an nmse point keeps one error per trial, a
+# rates or convergence point its SINR samples.  Sized by measurement (2-core
+# host, one BLAS thread): fig1's nmse at 32768 trials and fig5 at 4096 ran
+# 1.3x and 1.25x faster at 2^20, but peaked 5 and 9 MiB above 2^18, which
+# stays at or below the peak of one point per task.
+_SLICE_VALUES = 1 << 18
+
+# Runs per pool worker, at least, where there are that many points: enough
+# to keep every worker busy while the runs differ in cost.
+_RUNS_PER_WORKER = 4
+
+
+def _each_point(work):
+    """``work(c, point) -> rows`` as a map over a run of points."""
+    return lambda c, run: [row for point in run for row in work(c, point)]
 
 
 def _nmse(p: dict):
     """Point order: snr-major, delta-minor."""
 
-    def work(i, point):
-        snr_db, delta = point
-        cfg = SystemConfig(nt=p["nt"], nr=p["nr"], t=p["t"], tp=p["tp"],
-                           rho=db_to_linear(snr_db), delta=delta)
-        dp = derive_params(cfg)
-        emp = empirical_nmse(cfg, p["trials"], RandomStream(p["seed"], i))
-        return [[snr_db, delta, dp.sigma2_err, dp.sigma2_err_floor, emp]]
+    def work(c, run):
+        cfgs = [SystemConfig(nt=p["nt"], nr=p["nr"], t=p["t"], tp=p["tp"],
+                             rho=db_to_linear(snr_db), delta=delta)
+                for snr_db, delta in run]
+        emps = empirical_nmse(cfgs, p["trials"], RandomStream(p["seed"], c))
+        rows = []
+        for (snr_db, delta), cfg, emp in zip(run, cfgs, emps):
+            dp = derive_params(cfg)
+            rows.append([snr_db, delta, dp.sigma2_err, dp.sigma2_err_floor, emp])
+        return rows
 
-    points = [(s, d) for s in _grid(p, "snr_db") for d in p["delta"]]
+    points = [(0, (s, d)) for s in _grid(p, "snr_db") for d in p["delta"]]
     return points, work, ["snr_dB", "delta", "nmse_analytic", "nmse_floor",
-                          "nmse_empirical"]
+                          "nmse_empirical"], lambda c: p["trials"]
 
 
 def _outage(p: dict):
     """Point order: config-major, delta-minor; one simulation per point is
-    shared by every receiver and threshold.  The SINR statistics do not
-    depend on the block length, so any t > tp serves."""
+    shared by every receiver and threshold, and each point runs alone: its
+    samples are its data.  The SINR statistics do not depend on the block
+    length, so any t > tp serves."""
     rho = db_to_linear(p["snr_db"])
     thresholds = [db_to_linear(x_db) for x_db in _grid(p, "threshold_db")]
     receivers = _receivers(p["receiver"])
 
-    def work(i, point):
+    def work(c, point):
         (nt, nr), delta = point
         tp = p["tp"] if p["tp"] is not None else nt
         cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp + 2, tp=tp, rho=rho,
                            delta=delta)
         samples = sample_sinr_multi(cfg, receivers, p["trials"],
-                                    RandomStream(p["seed"], i))
+                                    RandomStream(p["seed"], c))
         return [[nt, nr, x, str(r), delta, cdf, emp]
                 for r in receivers
                 for x, cdf, emp in zip(thresholds,
                                        sinr_cdf(r, cfg, thresholds).tolist(),
                                        empirical_outage(samples[r], thresholds).tolist())]
 
-    points = [(tuple(c), d) for c in p["configs"] for d in p["delta"]]
-    return points, work, ["nt", "nr", "threshold", "receiver", "delta",
-                          "outage_analytic", "outage_empirical"]
+    points = [(c, (tuple(config), d)) for c, config in enumerate(p["configs"])
+              for d in p["delta"]]
+    return points, _each_point(work), ["nt", "nr", "threshold", "receiver",
+                                       "delta", "outage_analytic",
+                                       "outage_empirical"], None
 
 
 def _rates(p: dict):
     """Point order: snr-major, then delta; each point writes one row per
-    receiver, in receiver order.  The point's receivers share its stream:
-    those with the same training length share one simulation, and since the
-    draws do not depend on ``tp``, receivers with different ``tp*`` see
-    common random numbers."""
+    receiver, in receiver order.  Every point simulates on the one stream:
+    the receivers of a point with the same training length share one
+    simulation, and since the draws do not depend on ``tp`` or on the
+    point, all of them see common random numbers."""
     fixed_tp = p["tp"]
     receivers = _receivers(p["receiver"])
     # The ceiling does not depend on rho: one evaluation per distinct
@@ -314,42 +356,54 @@ def _rates(p: dict):
                 ceilings[key] = rate_ceiling(receiver, cfg)
             return ceilings[key]
 
-    def work(i, point):
-        snr_db, delta = point
-        base = SystemConfig(
+    def best(base):
+        """``(tp, rate_analytic)`` of every receiver at ``base``."""
+        if fixed_tp is None:
+            opts = [optimize_tp_exact(base, r) for r in receivers]
+            return [(opt.tp_star, opt.rate_at_star) for opt in opts]
+        return [(fixed_tp, rate_closed_form(r, base)) for r in receivers]
+
+    def work(c, run):
+        bases = [SystemConfig(
             nt=p["nt"], nr=p["nr"], t=p["t"],
             tp=fixed_tp if fixed_tp is not None else p["nt"],
             rho=db_to_linear(snr_db), delta=delta,
-        )
-        if fixed_tp is None:
-            opts = [optimize_tp_exact(base, r) for r in receivers]
-            best = [(opt.tp_star, opt.rate_at_star) for opt in opts]
-        else:
-            best = [(fixed_tp, rate_closed_form(r, base)) for r in receivers]
-        tps = [tp for tp, _ in best]
-        emp = {}
-        for tp in dict.fromkeys(tps):
-            group = tuple(r for r, r_tp in zip(receivers, tps) if r_tp == tp)
-            emp |= empirical_rate(base.with_tp(tp), group, p["trials"],
-                                  RandomStream(p["seed"], i))
+        ) for snr_db, delta in run]
+        bests = [best(base) for base in bases]
+        # One simulation per (point, distinct tp), gathered by the receivers
+        # it serves: one call per receiver group serves the whole run.
+        groups: dict = {}
+        for j, (base, point_best) in enumerate(zip(bases, bests)):
+            tps = [tp for tp, _ in point_best]
+            for tp in dict.fromkeys(tps):
+                group = tuple(r for r, r_tp in zip(receivers, tps) if r_tp == tp)
+                groups.setdefault(group, []).append((j, base.with_tp(tp)))
+        emp = [{} for _ in run]
+        for group, sims in groups.items():
+            rates = empirical_rate([cfg for _, cfg in sims], group, p["trials"],
+                                   RandomStream(p["seed"], c))
+            for (j, _), rate in zip(sims, rates):
+                emp[j] |= rate
         rows = []
-        for receiver, (tp_star, analytic) in zip(receivers, best):
-            # Empty exactly where rate_ceiling has no value: delta**2 == 0.
-            ceil = (None if delta * delta == 0.0
-                    else ceiling(receiver, base.with_tp(tp_star)))
-            rows.append([snr_db, str(receiver), delta, analytic, emp[receiver],
-                         ceil, tp_star])
+        for (snr_db, delta), base, point_best, point_emp in zip(run, bases, bests, emp):
+            for receiver, (tp_star, analytic) in zip(receivers, point_best):
+                # Empty exactly where rate_ceiling has no value: delta**2 == 0.
+                ceil = (None if delta * delta == 0.0
+                        else ceiling(receiver, base.with_tp(tp_star)))
+                rows.append([snr_db, str(receiver), delta, analytic,
+                             point_emp[receiver], ceil, tp_star])
         return rows
 
-    points = [(s, d) for s in _grid(p, "snr_db") for d in p["delta"]]
+    points = [(0, (s, d)) for s in _grid(p, "snr_db") for d in p["delta"]]
     return points, work, ["snr_dB", "receiver", "delta", "rate_analytic",
-                          "rate_empirical", "rate_ceiling", "tp_star"]
+                          "rate_empirical", "rate_ceiling", "tp_star"], (
+        lambda c: p["nt"] * p["trials"] * len(receivers))
 
 
 def _opt_tp(p: dict):
     """Point order: snr-major, then delta, then receiver."""
 
-    def work(i, point):
+    def work(c, point):
         snr_db, delta, receiver = point
         cfg = SystemConfig(nt=p["nt"], nr=p["nr"], t=p["t"], tp=p["nt"],
                            rho=db_to_linear(snr_db), delta=delta)
@@ -357,37 +411,42 @@ def _opt_tp(p: dict):
                  optimize_tp_exact(cfg, receiver).tp_star]]
 
     receivers = _receivers(p["receiver"])
-    points = [(s, d, r) for s in _grid(p, "snr_db") for d in p["delta"]
+    points = [(0, (s, d, r)) for s in _grid(p, "snr_db") for d in p["delta"]
               for r in receivers]
-    return points, work, ["snr_dB", "receiver", "delta", "tp_star"]
+    return points, _each_point(work), ["snr_dB", "receiver", "delta",
+                                       "tp_star"], None
 
 
 def _convergence(p: dict):
     """Point order: config-major, then delta, then snr; receivers share
-    each point's channel draws."""
+    each point's channel draws, and the points of a configuration share
+    its stream."""
     if p["mode"] == "tp":
         return None
     receivers = _receivers(p["receiver"])
 
-    def work(i, point):
-        (nt, nr), delta, snr_db = point
-        tp = p["tp"] if p["tp"] is not None else nt
-        cfg = SystemConfig(nt=nt, nr=nr, t=p["t"], tp=tp,
-                           rho=db_to_linear(snr_db), delta=delta)
-        emp = empirical_rate(cfg, receivers, p["trials"],
-                             RandomStream(p["seed"], i))
+    def work(c, run):
+        cfgs = []
+        for (nt, nr), delta, snr_db in run:
+            tp = p["tp"] if p["tp"] is not None else nt
+            cfgs.append(SystemConfig(nt=nt, nr=nr, t=p["t"], tp=tp,
+                                     rho=db_to_linear(snr_db), delta=delta))
+        emps = empirical_rate(cfgs, receivers, p["trials"],
+                              RandomStream(p["seed"], c))
         rows = []
-        for receiver in receivers:
-            det, rate = det_rate(receiver, cfg), emp[receiver]
-            rows.append([nt, nr, snr_db, str(receiver), delta, det, rate,
-                         abs(det - rate) / rate])
+        for ((nt, nr), delta, snr_db), cfg, emp in zip(run, cfgs, emps):
+            for receiver in receivers:
+                det, rate = det_rate(receiver, cfg), emp[receiver]
+                rows.append([nt, nr, snr_db, str(receiver), delta, det, rate,
+                             abs(det - rate) / rate])
         return rows
 
     snrs = _grid(p, "snr_db")
-    points = [(tuple(c), d, s) for c in p["configs"] for d in p["delta"]
-              for s in snrs]
+    points = [(c, (tuple(config), d, s)) for c, config in enumerate(p["configs"])
+              for d in p["delta"] for s in snrs]
     return points, work, ["nt", "nr", "snr_dB", "receiver", "delta",
-                          "rate_det", "rate_empirical", "rel_deviation"]
+                          "rate_det", "rate_empirical", "rel_deviation"], (
+        lambda c: p["configs"][c][0] * p["trials"] * len(receivers))
 
 
 def _asymptotic_tp(p: dict):
@@ -395,7 +454,7 @@ def _asymptotic_tp(p: dict):
     if p["mode"] == "convergence":
         return None
 
-    def work(i, point):
+    def work(c, point):
         (nt, nr), delta, snr_db, receiver = point
         cfg = SystemConfig(nt=nt, nr=nr, t=p["t"], tp=nt,
                            rho=db_to_linear(snr_db), delta=delta)
@@ -403,23 +462,44 @@ def _asymptotic_tp(p: dict):
                  optimize_tp_asymptotic(cfg, receiver).tp_star]]
 
     snrs, receivers = _grid(p, "snr_db"), _receivers(p["receiver"])
-    points = [(tuple(c), d, s, r) for c in p["configs"] for d in p["delta"]
-              for s in snrs for r in receivers]
-    return points, work, ["nt", "nr", "snr_dB", "receiver", "delta",
-                          "tp_star_asymptotic"]
+    points = [(c, (tuple(config), d, s, r)) for c, config in enumerate(p["configs"])
+              for d in p["delta"] for s in snrs for r in receivers]
+    return points, _each_point(work), ["nt", "nr", "snr_dB", "receiver",
+                                       "delta", "tp_star_asymptotic"], None
 
 
-def _sweep(points: list, work) -> list:
-    """Rows of ``work(i, point)`` over the enumerated points, concatenated
-    in point order.  Points run on a small thread pool; the order of the
-    results never depends on it."""
-    items = list(enumerate(points))
-    if len(items) <= 1:
-        chunks = [work(i, point) for i, point in items]
+def _runs(points: list, keep, tasks: int) -> list:
+    """The enumerated ``(c, point)`` pairs cut into contiguous ``(c, run)``
+    slices of one configuration each.  A run keeps at most
+    ``_SLICE_VALUES`` values by ``keep(c)``, and holds at most
+    ``1/tasks`` of the points, so that there are at least ``tasks`` runs
+    where there are that many points.  Without ``keep``, every point is a
+    run of its own."""
+    if keep is None:
+        return [(c, [point]) for c, point in points]
+    most = -(-len(points) // tasks)
+    runs = []
+    for c, group in itertools.groupby(points, key=lambda item: item[0]):
+        group = [point for _, point in group]
+        step = max(1, min(most, _SLICE_VALUES // max(1, keep(c))))
+        n = -(-len(group) // step)  # runs of near-equal length, each <= step
+        runs += [(c, group[k * len(group) // n:(k + 1) * len(group) // n])
+                 for k in range(n)]
+    return runs
+
+
+def _sweep(points: list, work, keep) -> list:
+    """Rows of ``work(c, run)`` over the runs of :func:`_runs`, concatenated
+    in point order.  Runs go to a small thread pool; the order of the
+    results never depends on it, and neither do their bytes: every point
+    draws from its configuration's stream whatever else shares its run."""
+    workers = max(1, min(8, os.cpu_count() or 1, len(points)))
+    runs = _runs(points, keep, _RUNS_PER_WORKER * workers)
+    if len(runs) <= 1:
+        chunks = [work(c, run) for c, run in runs]
     else:
-        workers = max(1, min(8, os.cpu_count() or 1, len(items)))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(lambda item: work(*item), items))
+        with ThreadPoolExecutor(max_workers=min(workers, len(runs))) as pool:
+            chunks = list(pool.map(lambda item: work(*item), runs))
     return [row for chunk in chunks for row in chunk]
 
 
@@ -429,8 +509,8 @@ def _tables(subcommand: str, params: dict) -> dict:
     for stem, declare in _SUBCOMMANDS[subcommand]["tables"].items():
         sweep = declare(params)
         if sweep is not None:
-            points, work, columns = sweep
-            tables[stem] = (columns, _sweep(points, work))
+            points, work, columns, keep = sweep
+            tables[stem] = (columns, _sweep(points, work, keep))
     return tables
 
 

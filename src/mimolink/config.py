@@ -192,23 +192,26 @@ def derive_params_at(cfg: SystemConfig, tp: int | np.ndarray) -> DerivedParams:
     nt, rho, delta = cfg.nt, cfg.rho, cfg.delta
     d2 = delta * delta
 
-    epsilon = rho * tp / (nt * (rho * d2 + 1.0))
-    sigma2_err = 1.0 / (1.0 + epsilon)
-    sigma2_est = epsilon / (1.0 + epsilon)
-
-    # At extreme rho, rho * epsilon under- or overflows, and the SINR maps
-    # would divide by a c0 of inf or 0.
-    rho_eps = rho * epsilon
-    c0 = math.inf
-    if np.all(rho_eps > 0):
-        c0 = nt * (rho + rho * d2 + 1.0 + epsilon) / rho_eps
-    if not np.all(c0 < math.inf):
-        raise ValueError(f"rho={rho!r} is too small to evaluate: c0 is inf")
+    # At extreme rho, rho * tp or rho * epsilon over- or underflows, and the
+    # SINR maps would divide by a c0 of inf or 0 (or NaN, from inf / inf):
+    # the errors raised below.  At a subnormal delta**2, tp / delta**2
+    # overflows, and the floor takes its limit, 0.  So an array tp warns of
+    # neither, as Python floats do not.
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        epsilon = rho * tp / (nt * (rho * d2 + 1.0))
+        sigma2_err = 1.0 / (1.0 + epsilon)
+        sigma2_est = epsilon / (1.0 + epsilon)
+        rho_eps = rho * epsilon
+        c0 = math.inf
+        if np.all(rho_eps > 0):
+            c0 = nt * (rho + rho * d2 + 1.0 + epsilon) / rho_eps
+        # Rounded as nt * delta * delta: the bits the nmse floor column has had.
+        sigma2_err_floor = 0.0 if d2 == 0.0 else 1.0 / (1.0 + tp / (nt * delta * delta))
     if not np.all(c0 > 0.0):
         raise ValueError(f"rho={rho!r} is too large to evaluate: c0 is 0")
+    if not np.all(c0 < math.inf):
+        raise ValueError(f"rho={rho!r} is too small to evaluate: c0 is inf")
     c0_bar = d2 * (1.0 + d2) * nt * nt / tp
-    # Rounded as nt * delta * delta: the bits the nmse floor column has had.
-    sigma2_err_floor = 0.0 if d2 == 0.0 else 1.0 / (1.0 + tp / (nt * delta * delta))
 
     c1 = (rho + rho * d2 + 1.0 + epsilon) / rho_eps
     beta = cfg.nr / nt

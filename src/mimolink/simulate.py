@@ -34,14 +34,21 @@ an N-trial run, for any N.  Identical ``(cfg, receivers, trials, seed)``
 reproduce bit-identical sample sets.  Receivers never enter the draws: every
 receiver of one call is a map of the same Gram matrices, so a call for
 several receivers gives each the samples, and :func:`empirical_rate` the
-rate, of a call for that receiver alone.  Changing the layout or the
-``(nr, nt)`` rule is a breaking change to this contract.
+rate, of a call for that receiver alone.  Nor do ``rho``, ``delta``, ``tp``
+or ``t``: :func:`empirical_nmse`, :func:`empirical_rate` and
+:func:`sample_sinr_multi` also take a sequence of configs that share
+``(nt, nr)``, draw each chunk once, and map it through every config without
+writing into the shared draws, so entry ``i`` of the list they return equals
+the call for config ``i`` alone on the same stream, bit for bit.  Changing
+the layout or the ``(nr, nt)`` rule is a breaking change to this contract.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +70,13 @@ __all__ = [
 ]
 
 # Complex normals drawn per chunk; chunks bound resident memory only.
-# Sized by measurement (2-core host, one BLAS thread): against 4096-trial
-# chunks, peak RSS of fig2's outage at 8192 trials fell 66 -> 51 MiB and of
-# a 32x64 point at 4096 trials 423 -> 46 MiB, at the same or better speed;
-# 4x smaller chunks ran slower at 4x4, 4x larger ones gave memory back.
-_CHUNK_ELEMENTS = 1 << 16
+# Sized by measurement (2-core host, one BLAS thread).  A chunk mapped
+# through several configs keeps its draws and shared products intact, so it
+# holds more arrays at once than a chunk overwritten in place: fig2's outage
+# at 8192 trials peaked at 53 MiB at 2^16 (50 MiB when chunks were
+# overwritten), at 47 MiB at 2^15.  2^14 made fig1's nmse at 32768 trials
+# 1.5x slower than 2^15.
+_CHUNK_ELEMENTS = 1 << 15
 
 # The samplers draw the Gram matrix from its Wishart law once
 # nr >= _WISHART_RATIO * nt, and the estimate itself below that.  Measured:
@@ -211,6 +220,27 @@ def _generators(rs: RandomStream) -> tuple[np.random.Generator, np.random.Genera
     return rs.generator(), np.random.Generator(sibling)
 
 
+def _each(cfgs) -> tuple[list[SystemConfig], bool]:
+    """``(configs, one)``: the configs of a call as a list, and whether it
+    was given one :class:`SystemConfig` alone.  A sequence must be non-empty
+    and share ``(nt, nr)``, which fix the draws; else ``ValueError``."""
+    if isinstance(cfgs, SystemConfig):
+        return [cfgs], True
+    cfgs = list(cfgs)
+    if not cfgs:
+        raise ValueError("need at least one config")
+    shapes = sorted({(c.nt, c.nr) for c in cfgs})
+    if len(shapes) > 1:
+        raise ValueError(f"the configs of one call must share (nt, nr), got {shapes}")
+    return cfgs, False
+
+
+def _one_or_all(results, one: bool):
+    """The per-config ``results`` as the call returns them: the only one
+    for a config given alone, else all of them."""
+    return next(iter(results)) if one else results
+
+
 def _chunks(trials: int, per_trial: int):
     """Yield the sizes of consecutive chunks of ``trials`` trials that draw
     ``per_trial`` complex normals each: at most ``_CHUNK_ELEMENTS`` normals,
@@ -230,10 +260,11 @@ def _estimator_scalars(cfg: SystemConfig) -> tuple[float, float, float]:
     return a, a / (a * a * cfg.tp + cfg.delta**2 * cfg.rho + 1.0), math.sqrt(cfg.tp)
 
 
-def _estimate(cfg: SystemConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The channel ``H`` and its LMMSE estimate ``Hhat`` of each trial of a
-    chunk's draws ``z`` (m, 2 nr nt + nt^2), from the sufficient statistic of
-    the received pilots; exact in law.
+def _estimate(cfgs, z: np.ndarray):
+    """The channel ``H`` of each trial of a chunk's draws ``z``
+    (m, 2 nr nt + nt^2), and its LMMSE estimates ``Hhat`` under ``cfgs`` (one
+    config, or a sequence of configs that share ``(nt, nr)``), from the
+    sufficient statistic of the received pilots; exact in law.
 
     With ``a = sqrt(rho/nt)`` and ``c = delta^2 rho + 1``,
     :func:`lmmse_estimate` applies ``a Yp (a^2 Sp^H Sp + c I)^{-1} Sp^H`` to
@@ -248,26 +279,32 @@ def _estimate(cfg: SystemConfig, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]
         Hhat = k (a (tp H + delta sqrt(tp) H E) + sqrt(tp) W),
 
     so no draw grows with ``tp``.  The product ``H E`` keeps the estimate
-    non-Gaussian under distortion.  ``z`` holds ``H``, ``E`` and ``W`` in
-    that order; both results are views of ``z``, ``Hhat`` written over ``W``.
+    non-Gaussian under distortion; no config changes it, so it is formed
+    once.  ``z`` holds ``H``, ``E`` and ``W`` in that order; ``H`` is a view
+    of ``z``, and nothing is written into ``z``.  For a sequence, the
+    estimates come lazily, one per config.
     """
-    nr, nt = cfg.nr, cfg.nt
+    cfgs, one = _each(cfgs)
+    nr, nt = cfgs[0].nr, cfgs[0].nt
     h = z[:, : nr * nt].reshape(-1, nr, nt)
     e = z[:, nr * nt : (nr + nt) * nt].reshape(-1, nt, nt)
     w = z[:, (nr + nt) * nt :].reshape(-1, nr, nt)
-    a, k, root_tp = _estimator_scalars(cfg)
     he = h @ e
-    he *= cfg.delta * root_tp
-    he += cfg.tp * h
-    he *= a * k
-    w *= k * root_tp
-    w += he
-    return h, w
+
+    def hhat(cfg):
+        a, k, root_tp = _estimator_scalars(cfg)
+        out = he * (cfg.delta * root_tp)
+        out += cfg.tp * h
+        out *= a * k
+        out += w * (k * root_tp)
+        return out
+
+    return h, _one_or_all(map(hhat, cfgs), one)
 
 
 def _sigma_chol(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
     """Cholesky factors ``L`` (m, nt, nt) of ``Sigma(E) / sigma2_est`` for
-    the distortions ``e`` (m, nt, nt), which it overwrites.
+    the distortions ``e`` (m, nt, nt), which it leaves as they are.
 
     In the notation of :func:`_estimate`, ``Hhat = H M + c W`` with
     ``M = a k (tp I + delta sqrt(tp) E)`` and ``c = k sqrt(tp)``.  Given
@@ -279,10 +316,10 @@ def _sigma_chol(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
     a, k, root_tp = _estimator_scalars(cfg)
     root_est = math.sqrt(derive_params(cfg).sigma2_est)
     diag = np.arange(cfg.nt)
-    e *= cfg.delta * root_tp
-    e[:, diag, diag] += cfg.tp
-    e *= a * k / root_est
-    sigma = _gram(e)
+    m = e * (cfg.delta * root_tp)
+    m[:, diag, diag] += cfg.tp
+    m *= a * k / root_est
+    sigma = _gram(m)
     sigma[:, diag, diag] += (k * root_tp / root_est) ** 2
     return np.linalg.cholesky(sigma)
 
@@ -292,15 +329,25 @@ def _gram(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2) @ x
 
 
-def _gram_source(cfg: SystemConfig, model: bool):
+def _outer(x: np.ndarray) -> np.ndarray:
+    """Batched ``X X^H``."""
+    return x @ x.conj().swapaxes(-1, -2)
+
+
+def _gram_source(cfgs, model: bool):
     """``(per_trial, gram)``: the complex normals each trial draws, and the
     map ``gram(z, gamma_generator)`` from a chunk's draws ``z``
     (m, per_trial) to its normalized Gram matrices ``Hbar^H Hbar``
-    (m, nt, nt).  ``Hbar`` is the chain's estimate over its standard
-    deviation, or under ``model`` an i.i.d. CN(0,1) matrix.  From
-    ``nr = _WISHART_RATIO nt`` on, the Gram matrices come from their Wishart
-    law, and only there does ``gram`` draw gammas."""
-    nt, nr = cfg.nt, cfg.nr
+    (m, nt, nt) under ``cfgs`` (one config, or lazily one batch per config
+    of a sequence that shares ``(nt, nr)``).  ``Hbar`` is the chain's
+    estimate over its standard deviation, or under ``model`` an i.i.d.
+    CN(0,1) matrix.  From ``nr = _WISHART_RATIO nt`` on, the Gram matrices
+    come from their Wishart law, and only there does ``gram`` draw gammas.
+    What no config changes is computed once per chunk: ``H E`` on the
+    estimate path, the Bartlett factor on the Wishart path, and the whole
+    Gram batch under ``model``."""
+    cfgs, one = _each(cfgs)
+    nt, nr = cfgs[0].nt, cfgs[0].nr
     n_e = 0 if model else nt * nt
     if nr >= _WISHART_RATIO * nt:
         below, diag = np.tril_indices(nt, -1), np.arange(nt)
@@ -312,62 +359,74 @@ def _gram_source(cfg: SystemConfig, model: bool):
             t = np.zeros((len(z), nt, nt), dtype=np.complex128)
             t[:, below[0], below[1]] = z[:, n_e:]
             t[:, diag, diag] = np.sqrt(gam.standard_gamma(nr - diag, size=(len(z), nt)))
-            if not model:
-                t = _sigma_chol(cfg, z[:, :n_e].reshape(-1, nt, nt)) @ t
-            return t @ t.conj().swapaxes(-1, -2)
+            if model:
+                return _one_or_all(itertools.repeat(_outer(t), len(cfgs)), one)
+            e = z[:, :n_e].reshape(-1, nt, nt)
+            return _one_or_all((_outer(_sigma_chol(c, e) @ t) for c in cfgs), one)
 
         return n_e + below[0].size, gram
     if model:
-        return nr * nt, lambda z, gam: _gram(z.reshape(-1, nr, nt))
-    root_est = math.sqrt(derive_params(cfg).sigma2_est)
+        return nr * nt, lambda z, gam: _one_or_all(
+            itertools.repeat(_gram(z.reshape(-1, nr, nt)), len(cfgs)), one)
+    roots = [math.sqrt(derive_params(c).sigma2_est) for c in cfgs]
+
+    def normalized(hhat, root):
+        hhat /= root
+        return _gram(hhat)
 
     def gram(z, gam):
-        hhat = _estimate(cfg, z)[1]
-        hhat /= root_est
-        return _gram(hhat)
+        return _one_or_all(map(normalized, _estimate(cfgs, z)[1], roots), one)
 
     return 2 * nr * nt + n_e, gram
 
 
-def _sample_sets(
-    cfg: SystemConfig, receivers, trials: int, rs: RandomStream, model: bool
-) -> dict[Receiver, SinrSampleSet]:
+def _sample_sets(cfgs, receivers, trials: int, rs: RandomStream, model: bool):
     """One :class:`SinrSampleSet` per distinct receiver, mapped from the
-    Gram matrices of :func:`_gram_source` chunk by chunk.
+    Gram matrices of :func:`_gram_source` chunk by chunk: a dict for one
+    config, a list of dicts for a sequence of configs.
 
     ``receivers`` is a non-empty iterable of :class:`Receiver` or their
     names (``"mmse"``); a bare receiver, or none at all, raises
     ``ValueError`` before anything is drawn."""
+    cfgs, one = _each(cfgs)
     if isinstance(receivers, str):  # a Receiver is a str too
         raise ValueError(f"receivers must be a tuple of receivers, got the single "
                          f"receiver {str(receivers)!r}; wrap it as a 1-tuple")
     receivers = tuple(dict.fromkeys(Receiver(r) for r in receivers))
     if not receivers:
         raise ValueError("need at least one receiver")
-    _require_zf_ok(cfg.nt, cfg.nr, *receivers)
-    dpar = derive_params(cfg)
-    per_trial, gram = _gram_source(cfg, model)
+    _require_zf_ok(cfgs[0].nt, cfgs[0].nr, *receivers)
+    dpars = [derive_params(c) for c in cfgs]
+    per_trial, gram = _gram_source(cfgs, model)
     g, gam = _generators(rs)
-    parts: dict[Receiver, list[np.ndarray]] = {r: [] for r in receivers}
+    parts = [{r: [] for r in receivers} for _ in cfgs]
     for m in _chunks(trials, per_trial):
-        grams = gram(_cn(g, (m, per_trial)), gam)
-        for r in receivers:
-            parts[r].append(_gram_sinr(grams, r, dpar, cfg.delta).ravel())
-    return {
-        r: SinrSampleSet(
-            receiver=r,
-            samples=np.concatenate(parts[r]),
-            cfg=cfg,
-            trials=trials,
-            seed=rs.seed,
-        )
-        for r in receivers
-    }
+        batches = gram(_cn(g, (m, per_trial)), gam)
+        for cfg, dpar, grams, part in zip(cfgs, dpars, batches, parts):
+            for r in receivers:
+                part[r].append(_gram_sinr(grams, r, dpar, cfg.delta).ravel())
+        del batches  # holds the chunk's draws: free them before the next
+    return _one_or_all([
+        {
+            r: SinrSampleSet(
+                receiver=r,
+                samples=np.concatenate(part[r]),
+                cfg=cfg,
+                trials=trials,
+                seed=rs.seed,
+            )
+            for r in receivers
+        }
+        for cfg, part in zip(cfgs, parts)
+    ], one)
 
 
 def sample_sinr_multi(
-    cfg: SystemConfig, receivers: tuple[Receiver, ...], trials: int, rs: RandomStream
-) -> dict[Receiver, SinrSampleSet]:
+    cfg: SystemConfig | Sequence[SystemConfig],
+    receivers: tuple[Receiver, ...],
+    trials: int,
+    rs: RandomStream,
+) -> dict[Receiver, SinrSampleSet] | list[dict[Receiver, SinrSampleSet]]:
     """SINR samples for several receivers over the *same* channel draws.
 
     One simulation pass (the Gram matrix of the estimate, drawn from its
@@ -375,6 +434,12 @@ def sample_sinr_multi(
     to the shared Gram batch, so sample k of one receiver and sample k of
     another describe the same channel realization and stream.  See
     :class:`SinrSampleSet` for the sample layout.
+
+    ``cfg`` is one :class:`SystemConfig`, which gives ``{receiver: set}``,
+    or a sequence of configs that share ``(nt, nr)``, which gives a list
+    with one such dict per config: entry ``i`` equals the call for
+    ``cfg[i]`` alone on the same stream, bit for bit, and the configs see
+    common random numbers.
     """
     return _sample_sets(cfg, receivers, trials, rs, model=False)
 
@@ -411,22 +476,38 @@ def sample_sinr_model(
     return _sample_sets(cfg, receivers, trials, rs, model=True)
 
 
-def empirical_nmse(cfg: SystemConfig, trials: int, rs: RandomStream) -> float:
+def empirical_nmse(
+    cfg: SystemConfig | Sequence[SystemConfig], trials: int, rs: RandomStream
+) -> float | list[float]:
     """Monte Carlo estimate of the per-entry channel-estimation NMSE,
-    ``mean ||H - Hhat||_F^2 / (nr nt)`` over ``trials`` channel draws."""
-    per_trial = 2 * cfg.nr * cfg.nt + cfg.nt * cfg.nt
+    ``mean ||H - Hhat||_F^2 / (nr nt)`` over ``trials`` channel draws.
+
+    ``cfg`` is one :class:`SystemConfig`, which gives a float, or a
+    sequence of configs that share ``(nt, nr)``, which gives a list: entry
+    ``i`` equals the call for ``cfg[i]`` alone on the same stream, bit for
+    bit.
+    """
+    cfgs, one = _each(cfg)
+    nr, nt = cfgs[0].nr, cfgs[0].nt
+    per_trial = 2 * nr * nt + nt * nt
     g = rs.generator()
-    errors = []  # per trial, so the sum does not depend on the chunks
+    errors = [[] for _ in cfgs]  # per trial, so the sum does not depend on the chunks
     for m in _chunks(trials, per_trial):
-        h, hhat = _estimate(cfg, _cn(g, (m, per_trial)))
-        err = h - hhat
-        errors.append(np.sum(err.real**2 + err.imag**2, axis=(1, 2)))
-    return float(np.sum(np.concatenate(errors))) / (trials * cfg.nr * cfg.nt)
+        h, hhats = _estimate(cfgs, _cn(g, (m, per_trial)))
+        for part, err in zip(errors, hhats):
+            err -= h  # Hhat - H, in place: the same squares as H - Hhat
+            part.append(np.sum(err.real**2 + err.imag**2, axis=(1, 2)))
+        del h, hhats  # hold the chunk's draws: free them before the next
+    return _one_or_all([float(np.sum(np.concatenate(part))) / (trials * nr * nt)
+                        for part in errors], one)
 
 
 def empirical_rate(
-    cfg: SystemConfig, receivers: tuple[Receiver, ...], trials: int, rs: RandomStream
-) -> dict[Receiver, float]:
+    cfg: SystemConfig | Sequence[SystemConfig],
+    receivers: tuple[Receiver, ...],
+    trials: int,
+    rs: RandomStream,
+) -> dict[Receiver, float] | list[dict[Receiver, float]]:
     """Monte Carlo ergodic achievable rate of each receiver, in bits per
     channel use: ``(td/t) * nt * mean(log2(1 + sinr))`` over its per-stream
     samples.
@@ -435,13 +516,18 @@ def empirical_rate(
     rates rest on the same channel draws, and each rate equals a call for
     that receiver alone bit for bit.  The draws do not depend on ``tp``:
     calls that differ only in ``tp`` and share ``rs`` see common random
-    numbers.
+    numbers.  ``cfg`` is one :class:`SystemConfig`, which gives
+    ``{receiver: rate}``, or a sequence of configs that share ``(nt, nr)``,
+    which gives a list with one such dict per config, entry ``i`` equal to
+    the call for ``cfg[i]`` alone on the same stream, bit for bit.
     """
-    scale = (cfg.td / cfg.t) * cfg.nt
-    return {
-        r: scale * float(np.mean(np.log2(1.0 + s.samples)))
-        for r, s in sample_sinr_multi(cfg, receivers, trials, rs).items()
-    }
+    cfgs, one = _each(cfg)
+    sets = sample_sinr_multi(cfgs, receivers, trials, rs)
+    return _one_or_all([
+        {r: (c.td / c.t) * c.nt * float(np.mean(np.log2(1.0 + s.samples)))
+         for r, s in by_receiver.items()}
+        for c, by_receiver in zip(cfgs, sets)
+    ], one)
 
 
 def empirical_outage(

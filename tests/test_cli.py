@@ -20,7 +20,13 @@ from mimolink import (
 )
 from mimolink import cli, simulate
 from mimolink.cli import main
-from mimolink.simulate import RandomStream, empirical_rate
+from mimolink.simulate import (
+    RandomStream,
+    empirical_nmse,
+    empirical_outage,
+    empirical_rate,
+    sample_sinr_multi,
+)
 from mimolink.training import optimize_tp_exact
 
 from _util import run_capped
@@ -364,8 +370,9 @@ class TestGoldenDigests:
     before the CLI's sweeps shared one runner.  The analytic cells of the
     outage and both rates tables are as computed since the quadrature runs
     on the Gauss-Kronrod 20/41 pair (version 0.4.0).  Every Monte Carlo
-    cell is as drawn since each point's simulator call reads its one stream
-    trial by trial, from stream id ``i`` for point ``i`` (version 0.6.0).
+    cell is as drawn since every point of an antenna configuration reads
+    that configuration's stream, ``RandomStream(seed, c)`` for its index
+    ``c`` in the table, trial by trial (version 0.7.0).
     A change that alters a data byte must update these on purpose; a rerun
     of one build cannot catch that.  The digests cover Monte Carlo cells,
     so they also pin this platform's numpy and BLAS rounding."""
@@ -376,21 +383,21 @@ class TestGoldenDigests:
 
     _RUNS = [
         (["nmse", "--preset", "fig1", "--trials", "64"],
-         {"nmse.csv": "b5a4c14e8ebf54a4a9a091af7957062f4fb1236a2fb5c1509918c53c903034df"}),
+         {"nmse.csv": "0bba77d50bfb6e50a45e675e97a510840662cd2e995144c4a9d39f8ab122dd2f"}),
         (["outage", "--preset", "fig2", "--trials", "256",
           "--threshold-db-step", "5"],
-         {"outage.csv": "87d3b33480ce8b30219481f71ac73be2d20ac4d65c716e27f3f5389616b50045"}),
+         {"outage.csv": "e08d1f3146f040113d07f0925e35e7462777147e5532112b9d33b8297d3502b9"}),
         (["rates", "--preset", "fig3", "--trials", "64", "--snr-db-step", "10"],
-         {"rates.csv": "83cf80f715e057a8f816a8798c097a12a36d69394352dd7ae0a1c2445ef47f7f"}),
+         {"rates.csv": "03878579549d69363390ddcae4fd62404e637b739eab9d3cc00125108b840244"}),
         (["opt-tp", "--preset", "fig4"],
          {"opt_tp.csv": "4d181bac316ac3e31d4f09b417ef5f098cabd04b282288a14fadc920dbfb5803"}),
         (["asymptotic", "--preset", "fig5", "--trials", "64"],
          {"asymptotic_convergence.csv":
-          "5ea381f8c9c79606015c07cda5706204689191157df1bde3e0f92ef9b8c44c63"}),
+          "acb56dfef50c641ca0ca648e0be2e51e2edb20846720d2e03c39b3c1474551eb"}),
         (["asymptotic", "--mode", "both", "--config", "4x16", "--t", "100",
           "--trials", "64", "--snr-db-step", "20"],
          {"asymptotic_convergence.csv":
-          "b38bb9f0920f1c68d796ef4caf58f7f78911690e76fa817efcb12f9ee2ab31b0",
+          "e9fb324c8996a8e95ebaa0ab17fb31962018f0d08b2b99321f67a875e8e92705",
           "asymptotic_tp.csv":
           "4c89182f8c56f0db993769220cb94f70873ee26a8aa7f7ba52ea3b5ad27a57c9"}),
     ]
@@ -433,7 +440,7 @@ class TestGoldenDigests:
         ])
         assert res.exit_code == 0, res.output
         assert self._digest(tmp_path / "rates.csv") == (
-            "8129ecf5089ee8475f6e8f56aa964be21fe7580db8980891647d441cbdb61409"
+            "26bdab6a47c1cb73a6fcab405ec873b05d203f76aa6b28bbea959c1e0fdefdcd"
         )
         # The ceiling is rho-independent: one evaluation per (receiver,
         # delta > 0), not one per SNR.
@@ -487,17 +494,19 @@ class TestAnalyticColumns:
 
 
 class TestSharedDraw:
-    """The receivers at a rates point share the point's stream: one
-    simulation per distinct training length, drawn from
-    ``RandomStream(seed, i)`` for the (snr, delta) index ``i``."""
+    """Every point of a rates table draws from its configuration's stream,
+    ``RandomStream(seed, 0)``: the receivers at a point share one
+    simulation per distinct training length, and the points see common
+    random numbers."""
 
     @staticmethod
     def _counting(monkeypatch):
+        """Record ``(tp, receivers, stream)`` of every simulated config."""
         calls = []
 
-        def counting(cfg, receivers, trials, rs):
-            calls.append((cfg.tp, tuple(receivers)))
-            return empirical_rate(cfg, receivers, trials, rs)
+        def counting(cfgs, receivers, trials, rs):
+            calls.extend((cfg.tp, tuple(receivers), rs) for cfg in cfgs)
+            return empirical_rate(cfgs, receivers, trials, rs)
 
         monkeypatch.setattr(cli, "empirical_rate", counting)
         return calls
@@ -514,28 +523,27 @@ class TestSharedDraw:
                 {name: row[i] for name, i in col.items()})
         return points
 
-    def test_fixed_tp_one_call_per_point(self, tmp_path, monkeypatch):
+    def test_fixed_tp_one_simulation_per_point(self, tmp_path, monkeypatch):
         calls = self._counting(monkeypatch)
         res = _run(["rates", "--tp", "8", "--trials", "64", "--snr-db-step", "25",
                     "--seed", "777", "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-        # 3 SNRs x 3 deltas, each one call for every receiver.
-        assert calls == [(8, tuple(Receiver))] * 9
+        # 3 SNRs x 3 deltas, each simulated once for every receiver.
+        assert calls == [(8, tuple(Receiver), RandomStream(777, 0))] * 9
         points = self._rows_by_point(tmp_path / "rates.csv")
         assert len(points) == 9
-        for i, ((snr_db, delta), rows) in enumerate(points.items()):
+        for (snr_db, delta), rows in points.items():
             cfg = SystemConfig(nt=4, nr=4, t=200, tp=8, rho=db_to_linear(snr_db),
                                delta=delta)
-            want = empirical_rate(cfg, tuple(Receiver), 64,
-                                  RandomStream(777, i))
+            want = empirical_rate(cfg, tuple(Receiver), 64, RandomStream(777, 0))
             assert [r["receiver"] for r in rows] == ["zf", "mrc", "mmse"]
             for row in rows:
                 assert float(row["rate_empirical"]) == want[Receiver(row["receiver"])]
 
-    def test_optimized_tp_groups_share_the_point_stream(self, tmp_path,
-                                                        monkeypatch):
+    def test_optimized_tp_groups_share_the_configuration_stream(self, tmp_path,
+                                                                monkeypatch):
         # At delta = 0, 30 dB the three tp* differ (11, 4, 10); at 40 dB ZF
-        # and MMSE share tp* = 9, so that point makes two calls.
+        # and MMSE share tp* = 9, so that point makes two simulations.
         calls = self._counting(monkeypatch)
         res = _run(["rates", "--preset", "fig3", "--trials", "64",
                     "--snr-db-min", "30", "--snr-db-max", "40",
@@ -546,16 +554,107 @@ class TestSharedDraw:
         tps = [[int(r["tp_star"]) for r in rows] for rows in points.values()]
         assert tps == [[11, 4, 10], [9, 4, 9]]
         zf, mrc, mmse = Receiver
-        assert sorted(calls) == sorted([(11, (zf,)), (4, (mrc,)), (10, (mmse,)),
-                                        (9, (zf, mmse)), (4, (mrc,))])
-        for i, ((snr_db, delta), rows) in enumerate(points.items()):
-            stream = RandomStream(777, i)
+        assert {rs for _, _, rs in calls} == {RandomStream(777, 0)}
+        assert sorted(c[:2] for c in calls) == sorted(
+            [(11, (zf,)), (4, (mrc,)), (10, (mmse,)), (9, (zf, mmse)), (4, (mrc,))])
+        for (snr_db, delta), rows in points.items():
             for row in rows:
                 receiver = Receiver(row["receiver"])
                 cfg = SystemConfig(nt=4, nr=4, t=200, tp=int(row["tp_star"]),
                                    rho=db_to_linear(snr_db), delta=delta)
-                want = empirical_rate(cfg, (receiver,), 64, stream)[receiver]
-                assert float(row["rate_empirical"]) == want
+                want = empirical_rate(cfg, (receiver,), 64, RandomStream(777, 0))
+                assert float(row["rate_empirical"]) == want[receiver]
+
+
+class TestConfigurationStreams:
+    """Every Monte Carlo point draws from ``RandomStream(seed, c)``, ``c``
+    its antenna configuration's index in the table, so no byte depends on
+    how the points are cut into pool tasks."""
+
+    _RUNS = [
+        ["nmse", "--preset", "fig1", "--trials", "64", "--snr-db-step", "10"],
+        ["rates", "--tp", "8", "--trials", "64", "--snr-db-step", "25"],
+        ["rates", "--trials", "64", "--snr-db-min", "20", "--snr-db-step", "10",
+         "--delta", "0", "--delta", "0.15"],
+        ["outage", "--preset", "fig2", "--trials", "64", "--threshold-db-step", "10"],
+        ["asymptotic", "--mode", "both", "--config", "2x8", "--config", "4x16",
+         "--t", "40", "--trials", "64", "--snr-db-step", "20"],
+    ]
+
+    @staticmethod
+    def _written(out, args):
+        res = _run([*args, "--seed", "777", "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        return {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+    @pytest.mark.parametrize("args", _RUNS,
+                             ids=["nmse", "rates-tp", "rates-opt", "outage", "both"])
+    def test_bytes_do_not_depend_on_the_pool_or_the_slices(self, tmp_path,
+                                                           monkeypatch, args):
+        want = self._written(tmp_path / "ref", args)
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+            assert self._written(tmp_path / f"cpus{cpus}", args) == want, cpus
+        monkeypatch.setattr(cli, "_SLICE_VALUES", 1)
+        assert self._written(tmp_path / "one", args) == want
+
+    def test_runs_cut_one_configuration_each(self):
+        points = [(c, k) for c, n in enumerate([7, 1, 12]) for k in range(n)]
+        for tasks in (1, 4, 32):
+            for budget in (None, 3, cli._SLICE_VALUES):  # points a run may keep
+                keep = None if budget is None else (
+                    lambda c, n=budget: cli._SLICE_VALUES // n)
+                runs = cli._runs(points, keep, tasks)
+                assert [(c, k) for c, run in runs for k in run] == points
+                assert all(run for _, run in runs)
+                longest = 1 if budget is None else min(budget, -(-20 // tasks))
+                assert max(len(run) for _, run in runs) <= longest
+                assert len(runs) >= min(tasks, len(points))
+
+    def test_nmse_cells_are_stream_zero_calls(self, tmp_path):
+        res = _run(["nmse", "--preset", "fig1", "--trials", "64", "--snr-db-step",
+                    "10", "--seed", "777", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        header, rows = _read_csv(tmp_path / "nmse.csv")
+        col = {name: i for i, name in enumerate(header)}
+        assert len(rows) == 32
+        for row in rows:
+            cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, delta=float(row[col["delta"]]),
+                               rho=db_to_linear(float(row[col["snr_dB"]])))
+            want = empirical_nmse(cfg, 64, RandomStream(777, 0))
+            assert float(row[col["nmse_empirical"]]) == want
+
+    def test_config_index_picks_the_stream(self, tmp_path):
+        # outage and the convergence table: configuration c reads stream c.
+        res = _run(["asymptotic", "--config", "2x8", "--config", "4x16", "--t", "40",
+                    "--trials", "64", "--snr-db-step", "40", "--delta", "0.1",
+                    "--receiver", "mmse", "--seed", "777", "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        header, rows = _read_csv(tmp_path / "asymptotic_convergence.csv")
+        col = {name: i for i, name in enumerate(header)}
+        assert len(rows) == 2 * 2
+        for row in rows:
+            nt, nr = int(row[col["nt"]]), int(row[col["nr"]])
+            cfg = SystemConfig(nt=nt, nr=nr, t=40, tp=nt, delta=0.1,
+                               rho=db_to_linear(float(row[col["snr_dB"]])))
+            stream = RandomStream(777, [2, 4].index(nt))
+            want = empirical_rate(cfg, (Receiver.MMSE,), 64, stream)[Receiver.MMSE]
+            assert float(row[col["rate_empirical"]]) == want
+        res = _run(["outage", "--config", "2x4", "--config", "3x9", "--delta", "0.1",
+                    "--threshold-db-min", "0", "--threshold-db-max", "0",
+                    "--trials", "64", "--receiver", "mmse", "--seed", "777",
+                    "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        header, rows = _read_csv(tmp_path / "outage.csv")
+        col = {name: i for i, name in enumerate(header)}
+        assert len(rows) == 2
+        for c, row in enumerate(rows):
+            nt, nr = int(row[col["nt"]]), int(row[col["nr"]])
+            cfg = SystemConfig(nt=nt, nr=nr, t=2 * nt + 2, tp=nt, delta=0.1,
+                               rho=db_to_linear(30.0))
+            sets = sample_sinr_multi(cfg, (Receiver.MMSE,), 64, RandomStream(777, c))
+            want = empirical_outage(sets[Receiver.MMSE], 1.0)
+            assert float(row[col["outage_empirical"]]) == want
 
 
 class TestPresets:

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -179,17 +180,24 @@ class TestDerivedParams:
 
     @pytest.mark.parametrize("rho, delta, match", [
         (1e300, 0.0, "too large to evaluate: c0 is 0"),
+        (1.5e308, 0.1, "too large to evaluate: c0 is 0"),
         (1e-300, 0.1, "too small to evaluate: c0 is inf"),
         (1e-160, 0.0, "too small to evaluate: c0 is inf"),
     ])
     def test_extreme_rho_names_rho(self, rho, delta, match):
         # rho * epsilon under- or overflows: c0 would be 0 or inf, and every
-        # SINR map would divide by it.
+        # SINR map would divide by it.  At 1.5e308, rho * tp overflows too,
+        # and c0 is inf / inf.
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=8, rho=rho, delta=delta)
-        with pytest.raises(ValueError, match=re.escape(f"rho={rho!r} is {match}")):
+        message = re.escape(f"rho={rho!r} is {match}")
+        with pytest.raises(ValueError, match=message):
             derive_params(cfg)
-        with pytest.raises(ValueError, match="rho="):
-            derive_params_at(cfg, np.arange(4, 200))
+        # An array of training lengths raises the same error, and numpy
+        # warns of no overflow first.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                derive_params_at(cfg, np.arange(4, 200))
 
     def test_pure_function(self):
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=0.1)
@@ -198,7 +206,8 @@ class TestDerivedParams:
 
 
 class TestDeriveParamsAt:
-    @pytest.mark.parametrize("delta", [0.0, 0.05, 0.175])
+    # At 1e-158, delta**2 is subnormal and tp / delta**2 overflows to inf.
+    @pytest.mark.parametrize("delta", [0.0, 1e-158, 0.05, 0.175])
     @pytest.mark.parametrize("snr_db", [-10.0, 7.3, 40.0])
     def test_array_equals_scalar_bit_for_bit(self, snr_db, delta):
         cfg = SystemConfig(nt=8, nr=64, t=300, tp=8, rho=db_to_linear(snr_db), delta=delta)

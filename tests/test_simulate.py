@@ -421,6 +421,70 @@ class TestReproducibility:
         assert h.hexdigest() == digest
 
 
+class TestConfigSequences:
+    """One call serves a sequence of configs that share ``(nt, nr)``: one
+    draw per chunk, mapped through every config."""
+
+    @staticmethod
+    def _configs(nr):
+        # Differ in rho, delta and tp; 4x16 takes the Wishart path.
+        return [SystemConfig(nt=4, nr=nr, t=100, tp=tp, rho=db_to_linear(snr_db),
+                             delta=delta)
+                for tp, snr_db, delta in [(4, -5.0, 0.0), (9, 20.0, 0.1),
+                                          (31, 45.0, 0.175), (4, 20.0, 0.1)]]
+
+    @pytest.mark.parametrize("nr", [4, 16], ids=["estimate", "wishart"])
+    @pytest.mark.parametrize("entry", [empirical_nmse, empirical_rate,
+                                       sample_sinr_multi])
+    def test_entry_equals_the_single_config_call(self, entry, nr):
+        # 999 trials: several chunks at 4x4, none of them full.
+        cfgs = self._configs(nr)
+        args = () if entry is empirical_nmse else (tuple(Receiver),)
+        got = entry(cfgs, *args, 999, RandomStream(8, 1))
+        assert isinstance(got, list) and len(got) == len(cfgs)
+        for cfg, entry_i in zip(cfgs, got):
+            want = entry(cfg, *args, 999, RandomStream(8, 1))
+            if entry is sample_sinr_multi:
+                assert list(entry_i) == list(want)
+                for r in want:
+                    assert entry_i[r].cfg == cfg
+                    assert entry_i[r].samples.tobytes() == want[r].samples.tobytes()
+            else:
+                assert entry_i == want
+
+    @pytest.mark.parametrize("nr", [4, 16], ids=["estimate", "wishart"])
+    def test_shared_draws_are_left_as_drawn(self, monkeypatch, nr):
+        # The per-config maps write into no shared array: the chunk's draws
+        # are the same bits after a sequence call as before it.
+        fills = []
+        real = simulate._cn
+
+        def recording(g, shape):
+            z = real(g, shape)
+            fills.append((z, z.copy()))
+            return z
+
+        monkeypatch.setattr(simulate, "_cn", recording)
+        empirical_nmse(self._configs(nr), 300, RandomStream(2))
+        sample_sinr_multi(self._configs(nr), tuple(Receiver), 300, RandomStream(2))
+        assert fills and all(np.array_equal(z, copy) for z, copy in fills)
+
+    @pytest.mark.parametrize("entry", [empirical_nmse, empirical_rate,
+                                       sample_sinr_multi])
+    def test_configs_must_share_the_antennas_and_be_given(self, entry, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew trials for a rejected call")
+
+        monkeypatch.setattr(simulate, "_cn", no_draws)
+        args = () if entry is empirical_nmse else ((Receiver.MRC,),)
+        cfg = SystemConfig(nt=2, nr=4, t=20, tp=2, rho=1.0)
+        mixed = [cfg, SystemConfig(nt=2, nr=5, t=20, tp=2, rho=1.0)]
+        with pytest.raises(ValueError, match="share"):
+            entry(mixed, *args, 10, RandomStream(1))
+        with pytest.raises(ValueError, match="at least one config"):
+            entry([], *args, 10, RandomStream(1))
+
+
 class TestNmse:
     def test_matches_analytic_moderate_snr(self):
         # nt=tp=4, rho=10, delta=0: NMSE = 1/11.
