@@ -36,18 +36,31 @@ O(nr) positive terms per node, no cancellation, and no ``nr x nr`` table.
 One quadrature engine serves every rate.  It integrates the survival over
 ``u`` for a whole vector of c0 values at once (one per training length in a
 ``tp`` scan, a single one for a point rate) with one adaptive-quadrature call
-per chunk.  The survival is summed one mixture term at a time, so its
-largest array is c0 values x nodes; chunks are sized so that c0 values x
-seed nodes stays within ``_WORKING_SET``, which bounds the integrand's
-memory whatever the scan length, and each chunk takes its knots from its
-smallest c0, whose small-u structure is the finest.
+per chunk.  Chunks and blocks split the c0 values for different ends:
+
+* a *chunk* is one quadrature problem.  Chunks are sized so that c0 values
+  x seed nodes stays within ``_WORKING_SET``, and each chunk takes its
+  knots from its smallest c0, whose small-u structure is the finest; so
+  chunks decide where the integrand is evaluated;
+* a *block* is a run of c0 rows of one integrand evaluation, about
+  ``_BLOCK_VALUES`` values (:func:`_rate_integrand`).  The integrand is
+  written into one preallocated c0 values x nodes array, block by block,
+  and the survival is summed one mixture term at a time in a few
+  block-sized scratch arrays.  Blocks only bound cache use and memory: each
+  runs the same ufuncs on contiguous arrays, so no value depends on the
+  block it falls in.
+
+So one integrand evaluation holds its c0 values x nodes result, a few
+arrays over the nodes alone (the ``log Q`` rows, ``log u``) and four
+blocks; a level of the quadrature needs little more than its result.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +101,11 @@ _CANCEL_LIMIT = 1.0e6
 # Bound on the batched rate integrand's working set, in c0 values x seed
 # quadrature nodes (one float64 array of this size is 2 MiB).
 _WORKING_SET = 1 << 18
+
+# Integrand values per block of c0 rows (:func:`_rate_integrand`): the
+# block's arrays stay in cache, where a 4x4 scan's full (196, ~490) arrays
+# would stream from L3 at every pass.
+_BLOCK_VALUES = 1 << 14
 
 # Log-spaced seed knots of the u-space rate integral; the adaptive bisection
 # refines wherever the tolerance needs more.
@@ -130,15 +148,42 @@ def _mixture_log_binomials(receiver: Receiver, nt: int, nr: int) -> np.ndarray:
     return log_c
 
 
+class _Nodes(NamedTuple):
+    """What the survival reads of its nodes alone, computed once per call."""
+
+    u: np.ndarray  # (n,), contiguous
+    log_u: np.ndarray | None  # (n,); None for ZF
+    rows: np.ndarray  # ZF: Q(nr-nt+1, u), (n,); else row j: log C_j + log Q(nr-j, u)
+
+
+def _nodes(receiver: Receiver, nt: int, nr: int, u: np.ndarray) -> _Nodes:
+    u = np.ascontiguousarray(u, dtype=float)
+    if receiver is Receiver.ZF:
+        return _Nodes(u, None, _poisson_tail(nr - nt + 1, u)[-1])
+    log_c = _mixture_log_binomials(receiver, nt, nr)
+    with np.errstate(divide="ignore"):  # Q(a, u) underflows to 0 far out; u = 0
+        log_q = np.log(_poisson_tail(nr, u)[nr - log_c.size:])
+        log_u = np.log(u)
+    return _Nodes(u, log_u, log_q[::-1] + log_c[:, None])
+
+
 def _survival_u(
-    receiver: Receiver, nt: int, nr: int, delta: float, c0: np.ndarray, u: np.ndarray
+    receiver: Receiver,
+    nt: int,
+    ratio: np.ndarray,
+    nodes: _Nodes,
+    out: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Survival ``1 - F`` of the per-stream SINR in u-space, batched over c0.
 
-    ``c0`` has shape ``(m,)`` and the nodes ``u >= 0`` shape ``(n,)``; the
-    result has shape ``(m, n)``.  With ``w = (1+delta^2) u / c0``,
-    ``v = 1 + w`` and ``x = w / v``, every survival is a mixture of
-    ``Q(nr - j, u)`` (:func:`_poisson_tail`) with probability weights:
+    ``ratio = (1+delta^2) / c0`` has shape ``(m,)``, and ``nodes`` is
+    ``_nodes(receiver, nt, nr, u)`` for nodes ``u >= 0`` of shape ``(n,)``.
+    The survival is written into ``out``, shape ``(m, n)``, and returned
+    (for ZF, the one c0-free row is returned broadcast instead); ``scratch``
+    holds three more ``(m, n)`` arrays.  With ``w = ratio u``, ``v = 1 + w``
+    and ``x = w / v``, every survival is a mixture of ``Q(nr - j, u)``
+    (:func:`_poisson_tail`) with probability weights:
 
     * ZF: ``Q(nr - nt + 1, u)``, independent of c0;
     * MMSE: ``sum_{j<min(nt,nr)} C(nt-1, j) x^j (1-x)^(nt-1-j) Q(nr-j, u)``;
@@ -147,36 +192,25 @@ def _survival_u(
     Each term is evaluated in log space as
     ``log C + j log z - (nt-1) log v + log Q`` with ``z = w`` (MMSE) or
     ``z = x`` (MRC), so no intermediate overflows, and every term is
-    positive.  Terms are accumulated one at a time, so the largest live
-    array is ``(m, n)``.
+    positive.  Every transcendental ufunc reads a contiguous array: numpy
+    may run a strided input through a different loop, whose last bits can
+    differ, and then a value would depend on its neighbours.
     """
-    c0 = np.asarray(c0, dtype=float)
-    # Every transcendental ufunc below reads a contiguous array: numpy may
-    # run a strided input through a different loop, whose last bits can
-    # differ, and then a threshold's CDF would depend on its neighbours.
-    u = np.ascontiguousarray(u, dtype=float)
     if receiver is Receiver.ZF:
-        tail = _poisson_tail(nr - nt + 1, u)[-1]
-        return np.broadcast_to(tail, (c0.size, u.size))
-    log_c = _mixture_log_binomials(receiver, nt, nr)
-    terms = log_c.size
-    with np.errstate(divide="ignore"):  # Q(a, u) underflows to 0 far out
-        log_q = np.log(_poisson_tail(nr, u)[nr - terms:])
-    log_cq = log_q[::-1] + log_c[:, None]  # row j: log C_j + log Q(nr - j, u)
-    ratio = (1.0 + delta * delta) / c0
-    log_v = ratio[:, None] * u[None, :]  # (m, n)
+        return np.broadcast_to(nodes.rows, out.shape)
+    log_v, log_z, term = scratch
+    np.multiply(ratio[:, None], nodes.u, out=log_v)
     np.log1p(log_v, out=log_v)
-    with np.errstate(divide="ignore"):  # u = 0 gives z = 0
-        log_z = np.log(ratio)[:, None] + np.log(u)[None, :]
+    np.add(np.log(ratio)[:, None], nodes.log_u, out=log_z)
     if receiver is Receiver.MRC:
         log_z -= log_v
     log_v *= -(nt - 1)
-    # One (m, n) term at a time: exp(j log z - (nt-1) log v + log C_j Q).
+    # One term at a time: exp(j log z - (nt-1) log v + log C_j Q).
     # Term 0 skips 0 * log z, which is NaN at u = 0.
-    out = np.add(log_v, log_cq[0])
+    log_cq = nodes.rows
+    np.add(log_v, log_cq[0], out=out)
     np.exp(out, out=out)
-    term = np.empty_like(out)
-    for j in range(1, terms):
+    for j in range(1, log_cq.shape[0]):
         np.multiply(log_z, j, out=term)
         term += log_v
         term += log_cq[j]
@@ -205,8 +239,11 @@ def sinr_cdf(
     inner = (g > 0.0) & (cdf == 0.0)
     c0 = derive_params(cfg).c0
     u = c0 * g[inner] / (1.0 - d2 * g[inner])
-    s = _survival_u(receiver, cfg.nt, cfg.nr, cfg.delta, np.array([c0]), u)[0]
-    cdf[inner] = np.clip(1.0 - s, 0.0, 1.0)
+    nodes = _nodes(receiver, cfg.nt, cfg.nr, u)
+    out, *scratch = np.empty((4, 1, u.size))
+    ratio = np.array([(1.0 + cfg.delta * cfg.delta) / c0])
+    s = _survival_u(receiver, cfg.nt, ratio, nodes, out, scratch)
+    cdf[inner] = np.clip(1.0 - s[0], 0.0, 1.0)
     return float(cdf) if cdf.ndim == 0 else cdf
 
 
@@ -225,9 +262,54 @@ def _u_knots(k_max: int, c0: float, delta: float) -> tuple[float, np.ndarray]:
     """Truncation point and seed knots for the u-space rate integral."""
     u_max = k_max + 15.0 * math.sqrt(k_max + 10.0) + 60.0
     # Small-u structure appears on the scale where v departs from 1,
-    # u ~ c0/(1+delta^2); seed it with log-spaced knots.
+    # u ~ c0/(1+delta^2); seed it with log-spaced knots.  Below u_max 1e-15
+    # (c0 < ~1e-10: delta = 0 at very high SNR), the seeds reach down to
+    # c0 1e-3 with one more knot per decade past that point.
     floor = max(min(1e-6, c0 * 1e-3), u_max * 1e-15)
-    return u_max, np.logspace(math.log10(floor), math.log10(u_max), _SEED_KNOTS)
+    knots = _SEED_KNOTS
+    if c0 * 1e-3 < floor:
+        knots += math.ceil(math.log10(floor / (c0 * 1e-3)))
+        floor = c0 * 1e-3
+    return u_max, np.logspace(math.log10(floor), math.log10(u_max), knots)
+
+
+def _block_rows(n: int) -> int:
+    """c0 rows per integrand block over ``n`` nodes: about ``_BLOCK_VALUES``."""
+    return max(1, _BLOCK_VALUES // n)
+
+
+def _rate_integrand(
+    receiver: Receiver, nt: int, nr: int, delta: float, c0: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """``S(u) dgamma/du / (1 + gamma) = S(u) c0 / ((c0 + d^2 u)(c0 + (1+d^2) u))``
+    at every c0 (rows) and node (columns), shape ``(m, n)``.
+
+    The result is filled one block of c0 rows at a time (:func:`_block_rows`),
+    with block-sized scratch arrays, so that the working set stays in cache
+    and no temporary is ``(m, n)``.  Every block runs the same ufuncs on
+    contiguous arrays, so a value does not depend on the block it falls in.
+    """
+    d2 = delta * delta
+    nodes = _nodes(receiver, nt, nr, u)
+    u = nodes.u
+    m, n = c0.size, u.size
+    d2_u = d2 * u
+    d2p_u = (1.0 + d2) * u
+    ratio = (1.0 + d2) / c0
+    vals = np.empty((m, n))
+    rows = min(m, _block_rows(n))
+    buffers = np.empty((4, rows * n))
+    for start in range(0, m, rows):
+        stop = min(start + rows, m)
+        col = c0[start:stop, None]
+        block = vals[start:stop]
+        out, *scratch = (b[: block.size].reshape(block.shape) for b in buffers)
+        np.add(col, d2_u, out=block)
+        np.add(col, d2p_u, out=out)
+        block *= out
+        np.divide(col, block, out=block)
+        block *= _survival_u(receiver, nt, ratio[start:stop], nodes, out, scratch)
+    return vals
 
 
 def _rate_quadrature_c0(
@@ -243,23 +325,15 @@ def _rate_quadrature_c0(
     """
     c0 = np.atleast_1d(np.asarray(c0, dtype=float))
     k_max = nr - nt if receiver is Receiver.ZF else nr - 1
-    d2 = delta * delta
     chunk = max(1, _WORKING_SET // (_SEED_KNOTS * _XK.size))
     out = []
     for c in np.array_split(c0, -(-c0.size // chunk)):
         u_max, knots = _u_knots(k_max, float(c.min()), delta)
-        col = c[:, None]
-
-        def f(u: np.ndarray) -> np.ndarray:
-            # S(u) * dgamma/du / (1 + gamma), built in place to bound memory
-            vals = col + d2 * u
-            vals *= col + (1.0 + d2) * u
-            np.divide(col, vals, out=vals)
-            vals *= _survival_u(receiver, nt, nr, delta, c, u)
-            return vals
-
         out.append(
-            integrate_family(f, 0.0, u_max, points=knots, rel_tol=1e-10, abs_tol=1e-300)
+            integrate_family(
+                partial(_rate_integrand, receiver, nt, nr, delta, c),
+                0.0, u_max, points=knots, rel_tol=1e-10, abs_tol=1e-300,
+            )
         )
     return np.concatenate(out)
 

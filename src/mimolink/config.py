@@ -72,7 +72,7 @@ def linear_to_db(snr: float) -> float:
     return 10.0 * math.log10(snr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SystemConfig:
     """Full parameter tuple of the link.
 

@@ -20,8 +20,10 @@ through ``c0``) but shortens the data phase; the ergodic-rate objective
 Both exhaustive scans share one reduction of the rate vector (the first
 argmax), and both methods tie-break toward the smallest training length, so
 results are unique and replays are bit-identical.  A trace reads as a tuple
-of ``(tp, rate)`` pairs; an exhaustive one keeps its scan, not its rates,
-and runs it again on first read, so a kept result costs a few hundred bytes.
+of ``(tp, rate)`` pairs.  An exhaustive one keeps the scan function, the
+receiver and the config (it shares the caller's), not its rates, and runs
+the scan again on first read; with slotted classes, a kept result costs
+about a hundred bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numbers
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -55,19 +56,26 @@ def _pair(tp, rate) -> tuple[int, float]:
 
 class _ScanTrace(Sequence):
     """The ``(tp, rate)`` pairs of a full scan, read lazily: it keeps the
-    ``range`` of ``tp`` and the scan, runs the scan on first read and keeps
-    its rates, and reads, compares, hashes and pickles as the tuple of
-    pairs, with the same bits on every read."""
+    scan function, its receiver and config, runs ``scan(receiver, cfg)`` on
+    first read and keeps its rates, and reads, compares, hashes and pickles
+    as the tuple of pairs, with the same bits on every read."""
 
-    __slots__ = ("_tps", "_scan", "_cache")
+    __slots__ = ("_scan", "_receiver", "_cfg", "_cache")
 
-    def __init__(self, tps: range, scan: Callable[[], np.ndarray]) -> None:
-        self._tps, self._scan, self._cache = tps, scan, None
+    def __init__(
+        self, scan: Callable[[Receiver, SystemConfig], np.ndarray],
+        receiver: Receiver, cfg: SystemConfig,
+    ) -> None:
+        self._scan, self._receiver, self._cfg, self._cache = scan, receiver, cfg, None
+
+    @property
+    def _tps(self) -> range:
+        return range(self._cfg.nt, self._cfg.t)
 
     @property
     def _rates(self) -> list[float]:
         if self._cache is None:
-            self._cache = self._scan().tolist()
+            self._cache = self._scan(self._receiver, self._cfg).tolist()
         return self._cache
 
     def __len__(self) -> int:
@@ -94,7 +102,7 @@ class _ScanTrace(Sequence):
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TpSearchResult:
     """Outcome of a training-length search.
 
@@ -136,14 +144,16 @@ class TpSearchResult:
             raise ValueError("tp_star must be the smallest maximizer in the trace")
 
 
-def _exhaustive(cfg: SystemConfig, scan: Callable[[], np.ndarray]) -> TpSearchResult:
-    """Search result of the full scan ``scan()``, whose entry ``i`` is the
-    rate at ``tp = nt + i``; the first argmax is the smallest maximizer.
-    The result is checked against the scan's rates, then keeps ``scan`` in
-    their place: its trace runs the scan again on first read."""
-    rates = scan()
+def _exhaustive(
+    scan: Callable[[Receiver, SystemConfig], np.ndarray], receiver: Receiver, cfg: SystemConfig
+) -> TpSearchResult:
+    """Search result of the full scan ``scan(receiver, cfg)``, whose entry
+    ``i`` is the rate at ``tp = nt + i``; the first argmax is the smallest
+    maximizer.  The result is checked against the scan's rates, then keeps
+    the scan in their place: its trace runs the scan again on first read."""
+    rates = scan(receiver, cfg)
     i = int(np.argmax(rates))
-    trace = _ScanTrace(range(cfg.nt, cfg.t), scan)
+    trace = _ScanTrace(scan, receiver, cfg)
     trace._cache = rates.tolist()
     result = TpSearchResult(cfg.nt + i, trace._cache[i], trace, "exhaustive")
     trace._cache = None
@@ -179,7 +189,7 @@ def _ternary(cfg: SystemConfig, objective: Callable[[int], float]) -> TpSearchRe
 def optimize_tp_exact(cfg: SystemConfig, receiver: Receiver) -> TpSearchResult:
     """Maximize the exact ergodic rate over all feasible training lengths by
     exhaustive scan (``cfg.tp`` only seeds the feasible range)."""
-    return _exhaustive(cfg, partial(rate_scan, receiver, cfg))
+    return _exhaustive(rate_scan, receiver, cfg)
 
 
 def optimize_tp_asymptotic(cfg: SystemConfig, receiver: Receiver) -> TpSearchResult:
@@ -192,4 +202,4 @@ def optimize_tp_asymptotic(cfg: SystemConfig, receiver: Receiver) -> TpSearchRes
     """
     if cfg.t >= _TERNARY_MIN_T:
         return _ternary(cfg, lambda tp: det_rate(receiver, cfg.with_tp(tp)))
-    return _exhaustive(cfg, partial(det_rate_scan, receiver, cfg))
+    return _exhaustive(det_rate_scan, receiver, cfg)

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -22,19 +23,26 @@ from mimolink import cli
 from mimolink import (
     Receiver,
     SystemConfig,
+    analytic,
     db_to_linear,
     derive_params,
+    derive_params_at,
 )
 from mimolink.analytic import (
+    _rate_integrand,
     _rate_quadrature_c0,
+    _u_knots,
     outage,
     rate_ceiling,
     rate_closed_form,
     rate_low_snr,
     rate_quadrature,
+    rate_scan,
     sinr_cdf,
 )
+from mimolink.quadrature import _eval_panels
 from mimolink.simulate import RandomStream, empirical_rate
+from mimolink.training import optimize_tp_exact
 
 from _util import run_capped
 
@@ -472,3 +480,87 @@ class TestRateCeiling:
             cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=delta)
             with pytest.raises(ValueError, match="no rate ceiling"):
                 rate_ceiling(Receiver.ZF, cfg)
+
+
+class TestBlockedIntegrand:
+    """The rate integrand is filled in blocks of c0 rows; where the block
+    edges fall must not move a bit of any rate or CDF."""
+
+    CONFIGS = [
+        SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(10), delta=delta)
+        for delta in (0.0, 0.15)
+    ] + [
+        SystemConfig(nt=5, nr=30, t=40, tp=5, rho=db_to_linear(15), delta=delta)
+        for delta in (0.0, 0.15)
+    ]
+
+    @staticmethod
+    def _bits(cfg):
+        gammas = np.geomspace(1e-2, 1e2, 31)
+        out = []
+        for r in Receiver:
+            out.append(rate_scan(r, cfg).tobytes())
+            out.append(float(rate_quadrature(r, cfg.with_tp(cfg.nt + 3))).hex())
+            if cfg.delta > 0:
+                out.append(float(rate_ceiling(r, cfg)).hex())
+            out.append(sinr_cdf(r, cfg, gammas).tobytes())
+            out.append(float(sinr_cdf(r, cfg, 2.0)).hex())
+        return out
+
+    @pytest.mark.parametrize("working_set", [None, 40 * analytic._SEED_KNOTS * 41],
+                             ids=["one-chunk", "40-per-chunk"])
+    def test_block_edges_do_not_move_bits(self, monkeypatch, working_set):
+        if working_set is not None:
+            monkeypatch.setattr(analytic, "_WORKING_SET", working_set)
+        want = [self._bits(cfg) for cfg in self.CONFIGS]
+        for rows in (1, 7, 10**9):  # one row, a ragged last block, one block
+            with monkeypatch.context() as m:
+                m.setattr(analytic, "_block_rows", lambda n, rows=rows: rows)
+                assert [self._bits(cfg) for cfg in self.CONFIGS] == want, rows
+
+    def test_level_peak_memory_is_its_integrand_array(self):
+        # MMSE at 4x4, t=200, delta=0, 170 dB: one level at the 1888
+        # intervals of the deepest level the 12-knot seeds used to need
+        # there, 15.2M values (116 MiB).  The whole-array integrand peaked
+        # at 5x that; blocks keep the level near the array itself.
+        cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(170), delta=0.0)
+        c0 = derive_params_at(cfg, np.arange(4, 200)).c0
+        u_max, _ = _u_knots(cfg.nr - 1, float(c0.min()), 0.0)
+        edges = np.linspace(0.0, u_max, 1889)
+        f = functools.partial(_rate_integrand, Receiver.MMSE, 4, 4, 0.0, c0)
+        tracemalloc.start()
+        try:
+            _eval_panels(f, edges[:-1], edges[1:])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        values = c0.size * 1888 * 41
+        assert peak <= 1.25 * 8 * values, peak / (8 * values)
+
+
+class TestHighSnrSeedKnots:
+    """At delta = 0 and very high SNR, c0 falls below the old seed floor of
+    u_max 1e-15 and the seeds reach down to c0 1e-3: every scan returns."""
+
+    SNRS_DB = (172.0, 176.0, 200.0, 250.0, 300.0)
+
+    @staticmethod
+    def _cfg(snr_db):
+        return SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(snr_db), delta=0.0)
+
+    def test_scans_return_finite_rates_that_grow_with_snr(self):
+        for r in Receiver:
+            rates = [optimize_tp_exact(self._cfg(s), r).rate_at_star for s in self.SNRS_DB]
+            assert all(math.isfinite(x) for x in rates), (r, rates)
+            if r is not Receiver.MRC:  # MRC is interference-limited
+                assert all(a < b for a, b in zip(rates, rates[1:])), (r, rates)
+
+    def test_matches_mpmath_at_172_db(self):
+        cfg = self._cfg(172.0)
+        for r in Receiver:
+            res = optimize_tp_exact(cfg, r)
+            point = cfg.with_tp(res.tp_star)
+            c0 = derive_params(point).c0
+            want = float(_mp_rate_integral(r, 4, 4, 0.0, c0))
+            prefactor = (cfg.t - res.tp_star) * cfg.nt / (math.log(2.0) * cfg.t)
+            assert res.rate_at_star == pytest.approx(prefactor * want, rel=1e-9), r

@@ -877,10 +877,14 @@ class TestErrorPaths:
         assert "quadrature failed to converge" in res.output
 
     def test_runaway_quadrature_maps_to_exit_3(self, tmp_path):
-        # At delta = 0 and 700 dB the rate integral's bisection would grow
+        # At delta = 0 and 700 dB, with the rate integral's seed knots
+        # placed for c0 = 1 instead of c0 ~ 1e-70, the bisection would grow
         # until memory ran out; under a 1 GiB cap it stops at the
         # quadrature's node budget, an accuracy failure.
         out = run_capped(
+            "from mimolink import analytic\n"
+            "seeds = analytic._u_knots\n"
+            "analytic._u_knots = lambda k_max, c0, delta: seeds(k_max, 1.0, delta)\n"
             "from mimolink.cli import main\n"
             "main(['opt-tp', '--snr-db-min', '700', '--snr-db-max', '700',\n"
             f"      '--delta', '0', '--out', {str(tmp_path)!r}], prog_name='mimolink')\n",

@@ -1,6 +1,7 @@
 """Tests for system configuration and derived scalars."""
 
 import math
+import pickle
 import re
 import warnings
 
@@ -78,6 +79,15 @@ class TestSystemConfigValidation:
         assert cfg3.rho == 100.0 and cfg3.tp == 4
         with pytest.raises(ValueError):
             cfg.with_tp(3)
+
+    def test_slotted_value(self):
+        cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=10.0, delta=0.05)
+        assert not hasattr(cfg, "__dict__")
+        copy = pickle.loads(pickle.dumps(cfg))
+        assert copy == cfg and hash(copy) == hash(cfg) and copy is not cfg
+        assert cfg != cfg.with_tp(5) and len({cfg, copy, cfg.with_tp(4)}) == 1
+        with pytest.raises(ValueError, match="nt <= tp < t"):
+            cfg.with_tp(200)
 
 
 class TestReceiverEnum:

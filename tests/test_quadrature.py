@@ -181,14 +181,17 @@ class TestIntegrate:
         assert max(calls) * 3 <= 3 * 8 * 41
 
     def test_runaway_refinement_raises_under_a_memory_cap(self):
-        # At delta = 0 and 700 dB, c0 ~ 1e-70 sits far below the rate
-        # integral's seed knots, so bisection alone would have to resolve
-        # its scale, doubling the intervals level after level until memory
-        # ran out.  ZF and MMSE stop at the node budget; MRC's active
-        # intervals stay few, and it stops at the level budget.
+        # At delta = 0 and 700 dB, c0 ~ 1e-70.  With the rate integral's
+        # seed knots placed for c0 = 1 instead, they miss that scale, so
+        # bisection alone would have to resolve it, doubling the intervals
+        # level after level until memory ran out.  ZF and MMSE stop at the
+        # node budget; MRC's active intervals stay few, and it stops at the
+        # level budget.
         out = run_capped(
-            "from mimolink import AccuracyError, Receiver, SystemConfig, db_to_linear\n"
+            "from mimolink import AccuracyError, Receiver, SystemConfig, analytic, db_to_linear\n"
             "from mimolink.training import optimize_tp_exact\n"
+            "seeds = analytic._u_knots\n"
+            "analytic._u_knots = lambda k_max, c0, delta: seeds(k_max, 1.0, delta)\n"
             "cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(700.0))\n"
             "for r in Receiver:\n"
             "    try:\n"

@@ -85,9 +85,9 @@ class TestTpSearchResult:
             optimize_tp_exact(cfg, Receiver.ZF)
 
     def test_exhaustive_result_is_compact(self):
-        # A full scan keeps its tp column as a range and, in place of its
-        # rates, the scan that computed them: ~460 B at t=200, against
-        # ~17 KB for the 196 pairs as a tuple of (int, float) tuples.
+        # A full scan keeps, in place of its pairs, the scan function, the
+        # receiver and the config that computed them: ~100 B at t=200,
+        # against ~17 KB for the 196 pairs as a tuple of (int, float) tuples.
         cfg = SystemConfig(nt=4, nr=4, t=200, tp=4, rho=db_to_linear(10), delta=0.05)
         res = optimize_tp_exact(cfg, Receiver.MMSE)  # warms every cache
         tracemalloc.start()
@@ -98,7 +98,7 @@ class TestTpSearchResult:
             retained = with_kept - tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert retained <= 600
+        assert retained <= 160
         pairs = tuple(zip(range(4, 200), rate_scan(Receiver.MMSE, cfg).tolist()))
         trace = res.trace
         assert tuple(trace) == pairs and list(trace) == list(pairs) and len(trace) == 196
@@ -106,6 +106,20 @@ class TestTpSearchResult:
         assert trace[0] == pairs[0] and trace[-1] == pairs[-1] and trace[3:6] == pairs[3:6]
         assert [type(x) for x in trace[5]] == [int, float]
         assert pickle.loads(pickle.dumps(res)) == res
+
+    def test_results_are_slotted_values(self):
+        cfg = SystemConfig(nt=4, nr=4, t=40, tp=4, rho=db_to_linear(10), delta=0.05)
+        exhaustive = optimize_tp_exact(cfg, Receiver.MMSE)
+        pairs = TpSearchResult(tp_star=4, rate_at_star=2.0, trace=((4, 2.0), (5, 1.0)),
+                               method="exhaustive")
+        for res in (exhaustive, pairs):
+            assert not hasattr(res, "__dict__")
+            with pytest.raises(AttributeError):
+                res.tp_star = 5
+            copy = pickle.loads(pickle.dumps(res))
+            assert copy == res and hash(copy) == hash(res)
+        assert exhaustive == optimize_tp_exact(cfg.with_tp(9), Receiver.MMSE)
+        assert exhaustive != optimize_tp_exact(cfg, Receiver.ZF)
 
     def test_exhaustive_trace_recomputes_its_scan_once(self, monkeypatch):
         # Building the result runs the scan once; the first read of the
