@@ -54,7 +54,7 @@ from .special import (
 )
 from .training import TpSearchResult, optimize_tp_asymptotic, optimize_tp_exact
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "__version__",

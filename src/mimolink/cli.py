@@ -28,9 +28,11 @@ and the points of one configuration see common random numbers: each cell
 keeps its own law, but cells of one configuration are correlated.  Every
 receiver at a point simulates on the same draw (in ``rates``, one per
 distinct optimal training length).  Contiguous runs of one configuration's
-points go to a small thread pool, each run simulated in one pass; outputs
-are assembled in enumeration order, and a point's draws do not depend on
-its run, so neither the pool nor the runs change the bytes.
+points, about one per worker, go to a small thread pool, each run simulated
+in one pass (``outage`` included: its points keep counts at the thresholds,
+not samples); outputs are assembled in enumeration order, and a point's
+draws do not depend on its run, so neither the pool nor the runs change the
+bytes.
 
 Exit codes: 0 success; 2 usage error (bad flags or infeasible parameter
 combinations); 3 internal accuracy failure (a numerical routine could not
@@ -81,7 +83,7 @@ from .simulate import (
     empirical_nmse,
     empirical_outage,
     empirical_rate,
-    sample_sinr_multi,
+    sample_sinr_multi,  # noqa: F401  (unused; wrapped by perfbench/spans.py)
 )
 from .training import optimize_tp_asymptotic, optimize_tp_exact
 
@@ -272,15 +274,12 @@ def _emit(out_dir: Path, subcommand: str, params: dict, tables: dict,
 # counter) sees every call.
 
 # Values one pool task keeps: an nmse point keeps one error per trial, a
-# rates or convergence point its SINR samples.  Sized by measurement (2-core
-# host, one BLAS thread): fig1's nmse at 32768 trials and fig5 at 4096 ran
-# 1.3x and 1.25x faster at 2^20, but peaked 5 and 9 MiB above 2^18, which
-# stays at or below the peak of one point per task.
+# rates or convergence point its SINR samples, an outage point one count
+# per threshold and receiver.  Sized by measurement (2-core host, one BLAS
+# thread): fig1's nmse at 32768 trials and fig5 at 4096 ran 1.3x and 1.25x
+# faster at 2^20, but peaked 5 and 9 MiB above 2^18, which stays at or
+# below the peak of one point per task.
 _SLICE_VALUES = 1 << 18
-
-# Runs per pool worker, at least, where there are that many points: enough
-# to keep every worker busy while the runs differ in cost.
-_RUNS_PER_WORKER = 4
 
 
 def _each_point(work):
@@ -308,32 +307,35 @@ def _nmse(p: dict):
 
 
 def _outage(p: dict):
-    """Point order: config-major, delta-minor; one simulation per point is
-    shared by every receiver and threshold, and each point runs alone: its
-    samples are its data.  The SINR statistics do not depend on the block
-    length, so any t > tp serves."""
+    """Point order: config-major, delta-minor; one simulation per run of a
+    configuration's points is shared by every delta, receiver and threshold
+    of the run, and a point keeps only its counts at the thresholds.  The
+    SINR statistics do not depend on the block length, so any t > tp
+    serves."""
     rho = db_to_linear(p["snr_db"])
     thresholds = [db_to_linear(x_db) for x_db in _grid(p, "threshold_db")]
     receivers = _receivers(p["receiver"])
 
-    def work(c, point):
-        (nt, nr), delta = point
-        tp = p["tp"] if p["tp"] is not None else nt
-        cfg = SystemConfig(nt=nt, nr=nr, t=2 * tp + 2, tp=tp, rho=rho,
-                           delta=delta)
-        samples = sample_sinr_multi(cfg, receivers, p["trials"],
-                                    RandomStream(p["seed"], c))
+    def work(c, run):
+        cfgs = []
+        for (nt, nr), delta in run:
+            tp = p["tp"] if p["tp"] is not None else nt
+            cfgs.append(SystemConfig(nt=nt, nr=nr, t=2 * tp + 2, tp=tp, rho=rho,
+                                     delta=delta))
+        emps = empirical_outage(cfgs, receivers, thresholds, p["trials"],
+                                RandomStream(p["seed"], c))
         return [[nt, nr, x, str(r), delta, cdf, emp]
+                for ((nt, nr), delta), cfg, outage in zip(run, cfgs, emps)
                 for r in receivers
                 for x, cdf, emp in zip(thresholds,
                                        sinr_cdf(r, cfg, thresholds).tolist(),
-                                       empirical_outage(samples[r], thresholds).tolist())]
+                                       outage[r].tolist())]
 
     points = [(c, (tuple(config), d)) for c, config in enumerate(p["configs"])
               for d in p["delta"]]
-    return points, _each_point(work), ["nt", "nr", "threshold", "receiver",
-                                       "delta", "outage_analytic",
-                                       "outage_empirical"], None
+    return points, work, ["nt", "nr", "threshold", "receiver", "delta",
+                          "outage_analytic", "outage_empirical"], (
+        lambda c: len(thresholds) * len(receivers))
 
 
 def _rates(p: dict):
@@ -472,9 +474,9 @@ def _runs(points: list, keep, tasks: int) -> list:
     """The enumerated ``(c, point)`` pairs cut into contiguous ``(c, run)``
     slices of one configuration each.  A run keeps at most
     ``_SLICE_VALUES`` values by ``keep(c)``, and holds at most
-    ``1/tasks`` of the points, so that there are at least ``tasks`` runs
-    where there are that many points.  Without ``keep``, every point is a
-    run of its own."""
+    ``ceil(len(points) / tasks)`` points, so that there are at least
+    ``tasks`` runs where there are that many points.  Without ``keep``,
+    every point is a run of its own."""
     if keep is None:
         return [(c, [point]) for c, point in points]
     most = -(-len(points) // tasks)
@@ -490,11 +492,14 @@ def _runs(points: list, keep, tasks: int) -> list:
 
 def _sweep(points: list, work, keep) -> list:
     """Rows of ``work(c, run)`` over the runs of :func:`_runs`, concatenated
-    in point order.  Runs go to a small thread pool; the order of the
-    results never depends on it, and neither do their bytes: every point
-    draws from its configuration's stream whatever else shares its run."""
+    in point order.  Runs go to a small thread pool, about one run per
+    worker where the value budget allows, so that the points of a
+    configuration share as many draws as the pool leaves them; the order of
+    the results never depends on the pool, and neither do their bytes: every
+    point draws from its configuration's stream whatever else shares its
+    run."""
     workers = max(1, min(8, os.cpu_count() or 1, len(points)))
-    runs = _runs(points, keep, _RUNS_PER_WORKER * workers)
+    runs = _runs(points, keep, workers)
     if len(runs) <= 1:
         chunks = [work(c, run) for c, run in runs]
     else:

@@ -35,12 +35,15 @@ reproduce bit-identical sample sets.  Receivers never enter the draws: every
 receiver of one call is a map of the same Gram matrices, so a call for
 several receivers gives each the samples, and :func:`empirical_rate` the
 rate, of a call for that receiver alone.  Nor do ``rho``, ``delta``, ``tp``
-or ``t``: :func:`empirical_nmse`, :func:`empirical_rate` and
-:func:`sample_sinr_multi` also take a sequence of configs that share
-``(nt, nr)``, draw each chunk once, and map it through every config without
-writing into the shared draws, so entry ``i`` of the list they return equals
-the call for config ``i`` alone on the same stream, bit for bit.  Changing
-the layout or the ``(nr, nt)`` rule is a breaking change to this contract.
+or ``t``: :func:`empirical_nmse`, :func:`empirical_rate`,
+:func:`empirical_outage` and :func:`sample_sinr_multi` also take a sequence
+of configs that share ``(nt, nr)``, draw each chunk once, and map it through
+every config without writing into the shared draws, so entry ``i`` of the
+list they return equals the call for config ``i`` alone on the same stream,
+bit for bit.  :func:`empirical_outage` keeps no sample: it adds each chunk's
+integer counts at every threshold, so its memory does not grow with
+``trials``.  Changing the layout or the ``(nr, nt)`` rule is a breaking
+change to this contract.
 """
 
 from __future__ import annotations
@@ -380,32 +383,46 @@ def _gram_source(cfgs, model: bool):
     return 2 * nr * nt + n_e, gram
 
 
-def _sample_sets(cfgs, receivers, trials: int, rs: RandomStream, model: bool):
-    """One :class:`SinrSampleSet` per distinct receiver, mapped from the
-    Gram matrices of :func:`_gram_source` chunk by chunk: a dict for one
-    config, a list of dicts for a sequence of configs.
-
-    ``receivers`` is a non-empty iterable of :class:`Receiver` or their
-    names (``"mmse"``); a bare receiver, or none at all, raises
-    ``ValueError`` before anything is drawn."""
-    cfgs, one = _each(cfgs)
+def _receiver_tuple(receivers) -> tuple[Receiver, ...]:
+    """The distinct receivers of a call, in order, from a non-empty iterable
+    of :class:`Receiver` or their names (``"mmse"``); a bare receiver, or
+    none at all, raises ``ValueError``."""
     if isinstance(receivers, str):  # a Receiver is a str too
         raise ValueError(f"receivers must be a tuple of receivers, got the single "
                          f"receiver {str(receivers)!r}; wrap it as a 1-tuple")
     receivers = tuple(dict.fromkeys(Receiver(r) for r in receivers))
     if not receivers:
         raise ValueError("need at least one receiver")
+    return receivers
+
+
+def _sinr_batches(cfgs: list[SystemConfig], receivers: tuple[Receiver, ...],
+                  trials: int, rs: RandomStream, model: bool):
+    """Yield, chunk by chunk, one ``{receiver: SINRs (m, nt)}`` per config
+    of ``cfgs``, mapped from the Gram matrices of :func:`_gram_source`.
+    Bad configs or ``trials`` raise ``ValueError`` before the first draw;
+    a chunk's draws are freed before the next chunk is drawn."""
     _require_zf_ok(cfgs[0].nt, cfgs[0].nr, *receivers)
     dpars = [derive_params(c) for c in cfgs]
     per_trial, gram = _gram_source(cfgs, model)
     g, gam = _generators(rs)
-    parts = [{r: [] for r in receivers} for _ in cfgs]
     for m in _chunks(trials, per_trial):
-        batches = gram(_cn(g, (m, per_trial)), gam)
-        for cfg, dpar, grams, part in zip(cfgs, dpars, batches, parts):
+        yield [{r: _gram_sinr(grams, r, dpar, cfg.delta) for r in receivers}
+               for cfg, dpar, grams in zip(cfgs, dpars,
+                                           gram(_cn(g, (m, per_trial)), gam))]
+
+
+def _sample_sets(cfgs, receivers, trials: int, rs: RandomStream, model: bool):
+    """One :class:`SinrSampleSet` per distinct receiver (see
+    :func:`_receiver_tuple`), gathered from :func:`_sinr_batches`: a dict
+    for one config, a list of dicts for a sequence of configs."""
+    cfgs, one = _each(cfgs)
+    receivers = _receiver_tuple(receivers)
+    parts = [{r: [] for r in receivers} for _ in cfgs]
+    for batch in _sinr_batches(cfgs, receivers, trials, rs, model):
+        for part, sinrs in zip(parts, batch):
             for r in receivers:
-                part[r].append(_gram_sinr(grams, r, dpar, cfg.delta).ravel())
-        del batches  # holds the chunk's draws: free them before the next
+                part[r].append(sinrs[r].ravel())
     return _one_or_all([
         {
             r: SinrSampleSet(
@@ -531,18 +548,38 @@ def empirical_rate(
 
 
 def empirical_outage(
-    samples: SinrSampleSet, threshold: float | np.ndarray
-) -> float | np.ndarray:
-    """Fraction of SINR samples at or below ``threshold`` (empirical CDF).
+    cfg: SystemConfig | Sequence[SystemConfig],
+    receivers: tuple[Receiver, ...],
+    threshold: float | np.ndarray,
+    trials: int,
+    rs: RandomStream,
+) -> dict[Receiver, float | np.ndarray] | list[dict[Receiver, float | np.ndarray]]:
+    """Monte Carlo outage of each receiver: the fraction of its per-stream
+    SINR samples at or below ``threshold`` (the empirical CDF), a float for
+    a scalar threshold and an array for an array of thresholds.
 
-    An array of thresholds is served by one sort and a binary search; the
-    counts are exact integers, so each entry equals the scalar call bit for
-    bit.
+    The samples are those of :func:`sample_sinr_multi`, but none is kept:
+    each chunk is sorted and adds its integer counts at every threshold
+    (one binary search each), and the sum is divided once by
+    ``nt * trials``.  So memory does not grow with ``trials``, and each
+    entry equals the scalar call, and the fraction over the kept samples,
+    bit for bit.  ``cfg`` is one :class:`SystemConfig`, which gives
+    ``{receiver: outage}``, or a sequence of configs that share
+    ``(nt, nr)``, which gives a list with one such dict per config, entry
+    ``i`` equal to the call for ``cfg[i]`` alone on the same stream, bit for
+    bit.  A negative or NaN threshold raises ``ValueError`` before anything
+    is drawn, as do bad receivers or ``trials``.
     """
+    cfgs, one = _each(cfg)
+    receivers = _receiver_tuple(receivers)
     x = np.asarray(threshold, dtype=float)
     if not np.all(x >= 0):  # also rejects NaN
         raise ValueError(f"need thresholds >= 0, got {threshold}")
-    if x.ndim == 0:
-        return float(np.mean(samples.samples <= x))
-    s = np.sort(samples.samples, axis=None)
-    return np.searchsorted(s, x, side="right") / s.size
+    counts = [dict.fromkeys(receivers, 0) for _ in cfgs]
+    for batch in _sinr_batches(cfgs, receivers, trials, rs, model=False):
+        for count, sinrs in zip(counts, batch):
+            for r in receivers:
+                count[r] += np.searchsorted(np.sort(sinrs[r], axis=None), x, side="right")
+    n = cfgs[0].nt * trials
+    return _one_or_all([{r: c / n if x.ndim else float(c / n) for r, c in count.items()}
+                        for count in counts], one)

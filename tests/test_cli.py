@@ -25,7 +25,6 @@ from mimolink.simulate import (
     empirical_nmse,
     empirical_outage,
     empirical_rate,
-    sample_sinr_multi,
 )
 from mimolink.training import optimize_tp_exact
 
@@ -652,8 +651,8 @@ class TestConfigurationStreams:
             nt, nr = int(row[col["nt"]]), int(row[col["nr"]])
             cfg = SystemConfig(nt=nt, nr=nr, t=2 * nt + 2, tp=nt, delta=0.1,
                                rho=db_to_linear(30.0))
-            sets = sample_sinr_multi(cfg, (Receiver.MMSE,), 64, RandomStream(777, c))
-            want = empirical_outage(sets[Receiver.MMSE], 1.0)
+            want = empirical_outage(cfg, (Receiver.MMSE,), 1.0, 64,
+                                    RandomStream(777, c))[Receiver.MMSE]
             assert float(row[col["outage_empirical"]]) == want
 
 

@@ -96,4 +96,6 @@ def test_cli_sweeps_call_through_module_globals(tmp_path, monkeypatch):
     for args in runs:
         res = CliRunner().invoke(cli.main, [*args, "--out", str(tmp_path)])
         assert res.exit_code == 0, res.output
-    assert called == set(names)
+    # sample_sinr_multi stays bound for the tracer, but no sweep calls it:
+    # outage counts per chunk through empirical_outage.
+    assert called == set(names) - {"sample_sinr_multi"}

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -674,15 +675,19 @@ class TestEndToEndConsistency:
 
 
 class TestOutageAndRate:
+    @staticmethod
+    def _outage(cfg, receiver, x, seed):
+        return empirical_outage(cfg, (receiver,), x, 1000, RandomStream(seed))[receiver]
+
     def test_outage_edges(self):
         cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=10.0, delta=0.1)
         s = sample_sinr(cfg, Receiver.ZF, 1000, RandomStream(61))
-        assert empirical_outage(s, 0.0) == 0.0
-        assert empirical_outage(s, 1e9) == 1.0
+        assert self._outage(cfg, Receiver.ZF, 0.0, 61) == 0.0
+        assert self._outage(cfg, Receiver.ZF, 1e9, 61) == 1.0
         mid = float(np.median(s.samples))
-        assert empirical_outage(s, mid) == pytest.approx(0.5, abs=0.01)
+        assert self._outage(cfg, Receiver.ZF, mid, 61) == pytest.approx(0.5, abs=0.01)
         with pytest.raises(ValueError):
-            empirical_outage(s, -1.0)
+            self._outage(cfg, Receiver.ZF, -1.0, 61)
 
     def test_outage_array_equals_scalar(self):
         cfg = SystemConfig(nt=4, nr=4, t=100, tp=4, rho=10.0, delta=0.1)
@@ -690,13 +695,14 @@ class TestOutageAndRate:
         # Sample values themselves probe the ties (at or below counts).
         x = np.concatenate([[0.0, np.inf], np.sort(s.samples, axis=None)[::97],
                             np.geomspace(1e-3, 1e3, 50)])
-        got = empirical_outage(s, x)
-        assert got.tolist() == [empirical_outage(s, v) for v in x.tolist()]
+        got = self._outage(cfg, Receiver.MMSE, x, 62)
+        assert got.tolist() == [self._outage(cfg, Receiver.MMSE, v, 62)
+                                for v in x.tolist()]
         for bad in (-1.0, np.nan):
             with pytest.raises(ValueError):
-                empirical_outage(s, np.array([1.0, bad]))
+                self._outage(cfg, Receiver.MMSE, np.array([1.0, bad]), 62)
         with pytest.raises(ValueError):
-            empirical_outage(s, np.nan)
+            self._outage(cfg, Receiver.MMSE, np.nan, 62)
 
     def test_rate_definition(self):
         cfg = SystemConfig(nt=4, nr=4, t=100, tp=10, rho=10.0, delta=0.05)
@@ -705,6 +711,68 @@ class TestOutageAndRate:
         s = sample_sinr(cfg, Receiver.MMSE, 2000, RandomStream(71))
         expected = (cfg.td / cfg.t) * cfg.nt * np.mean(np.log2(1 + s.samples))
         assert rate == pytest.approx(expected, rel=1e-12)
+
+
+class TestStreamingOutage:
+    """``empirical_outage`` adds each chunk's counts and keeps no sample."""
+
+    @pytest.mark.parametrize("chunk", [None, 256], ids=["default-chunk", "chunk-256"])
+    @pytest.mark.parametrize("nt, nr", [(4, 4), (2, 8)], ids=["estimate", "wishart"])
+    def test_counts_equal_the_sample_fraction(self, monkeypatch, nt, nr, chunk):
+        # 7001 trials: several chunks on both paths, the last one partial.
+        if chunk is not None:
+            monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", chunk)
+        cfgs = [SystemConfig(nt=nt, nr=nr, t=2 * nt + 2, tp=nt,
+                             rho=db_to_linear(30.0), delta=delta)
+                for delta in (0.0, 0.05, 0.1, 0.175)]
+        receivers, trials = tuple(Receiver), 7001
+        sets = sample_sinr_multi(cfgs, receivers, trials, RandomStream(5, 1))
+        # Sample values probe the ties: a count is of samples at or below.
+        x = np.concatenate([[0.0, np.inf], np.geomspace(1e-2, 1e4, 40),
+                            np.sort(sets[2][Receiver.MMSE].samples)[::401]])
+        got = empirical_outage(cfgs, receivers, x, trials, RandomStream(5, 1))
+        assert isinstance(got, list) and len(got) == len(cfgs)
+        for cfg, by_receiver, outage in zip(cfgs, sets, got):
+            alone = empirical_outage(cfg, receivers, x, trials, RandomStream(5, 1))
+            assert list(outage) == list(alone) == list(receivers)
+            for r in receivers:
+                s = by_receiver[r].samples
+                want = [np.count_nonzero(s <= v) / s.size for v in x.tolist()]
+                assert outage[r].tolist() == want, (cfg.delta, r)
+                assert alone[r].tolist() == want, (cfg.delta, r)
+
+    def test_bad_input_raises_before_drawing(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew trials for a rejected call")
+
+        monkeypatch.setattr(simulate, "_cn", no_draws)
+        cfg = SystemConfig(nt=2, nr=2, t=20, tp=2, rho=1.0)
+        for bad in (-1.0, np.nan, [1.0, -1e-300], [1.0, np.nan]):
+            with pytest.raises(ValueError, match="thresholds >= 0"):
+                empirical_outage(cfg, (Receiver.ZF,), bad, 10, RandomStream(1))
+        for bare in (Receiver.MMSE, "mmse"):
+            with pytest.raises(ValueError, match="tuple"):
+                empirical_outage(cfg, bare, 1.0, 10, RandomStream(1))
+        with pytest.raises(ValueError, match="integer trials >= 1"):
+            empirical_outage(cfg, (Receiver.ZF,), 1.0, 0, RandomStream(1))
+
+    def test_memory_does_not_grow_with_trials(self):
+        # Kept samples would add 8 bytes per stream, trial and receiver:
+        # 1.7 MB more at 8 x 2048 trials here than at 2048.
+        cfg = SystemConfig(nt=5, nr=5, t=12, tp=5, rho=db_to_linear(30.0), delta=0.1)
+        x = np.geomspace(1e-2, 1e4, 101)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                empirical_outage(cfg, tuple(Receiver), x, trials, RandomStream(4))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # first-call set-up is no part of a call's working set
+        small, large = peak(2048), peak(8 * 2048)
+        assert large <= small + (64 << 10), (small, large)
 
 
 class TestDistribution:
