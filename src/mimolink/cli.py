@@ -25,14 +25,14 @@ the table (0 for ``nmse`` and ``rates``, the ``--config`` index for
 ``outage`` and the convergence table).  The simulator reads it trial by
 trial, so a run's first N trials per point equal a run at ``--trials N``,
 and the points of one configuration see common random numbers: each cell
-keeps its own law, but cells of one configuration are correlated.  Every
+has its own law, but cells of one configuration are correlated.  Every
 receiver at a point simulates on the same draw (in ``rates``, one per
-distinct optimal training length).  Contiguous runs of one configuration's
-points, about one per worker, go to a small thread pool, each run simulated
-in one pass (``outage`` included: its points keep counts at the thresholds,
-not samples); outputs are assembled in enumeration order, and a point's
-draws do not depend on its run, so neither the pool nor the runs change the
-bytes.
+distinct optimal training length).  Each configuration's points are cut
+into a few contiguous runs, so that the runs fill a small thread pool
+evenly, and each run is simulated in one pass; no simulator call holds a
+sample, so a run's memory does not grow with ``--trials``.  Outputs are
+assembled in enumeration order, and a point's draws do not depend on its
+run, so neither the pool nor the runs change the bytes.
 
 Exit codes: 0 success; 2 usage error (bad flags or infeasible parameter
 combinations); 3 internal accuracy failure (a numerical routine could not
@@ -253,8 +253,8 @@ def _emit(out_dir: Path, subcommand: str, params: dict, tables: dict,
 
 # --------------------------------------------------------------------------
 # Sweeps.  Each output table is declared by a function of the resolved
-# params that returns ``(points, work, columns, keep)``, or None when the
-# params leave the table out:
+# params that returns ``(points, work, columns)``, or None when the params
+# leave the table out:
 #
 # * ``points``: the sweep points in their nested order, each paired with the
 #   index ``c`` of its antenna configuration in the table (0 where the table
@@ -262,24 +262,13 @@ def _emit(out_dir: Path, subcommand: str, params: dict, tables: dict,
 #   ``RandomStream(seed, c)``;
 # * ``work(c, run) -> rows``: a pure map from a contiguous run of the points
 #   of configuration ``c`` to their rows, in point order;
-# * ``columns``: the column names;
-# * ``keep``: ``keep(c)`` is how many values one point of configuration
-#   ``c`` keeps while its run is simulated; None where every point runs
-#   alone.
+# * ``columns``: the column names.
 #
 # ``_sweep`` maps ``work`` over runs of the points; the tables are pure
 # functions of the params, which is what lets `verify` replay them
 # bit-for-bit.  ``work`` calls the library through this module's globals at
 # run time, so a wrapper bound there afterwards (a tracer, a test's
 # counter) sees every call.
-
-# Values one pool task keeps: an nmse point keeps one error per trial, a
-# rates or convergence point its SINR samples, an outage point one count
-# per threshold and receiver.  Sized by measurement (2-core host, one BLAS
-# thread): fig1's nmse at 32768 trials and fig5 at 4096 ran 1.3x and 1.25x
-# faster at 2^20, but peaked 5 and 9 MiB above 2^18, which stays at or
-# below the peak of one point per task.
-_SLICE_VALUES = 1 << 18
 
 
 def _each_point(work):
@@ -303,13 +292,13 @@ def _nmse(p: dict):
 
     points = [(0, (s, d)) for s in _grid(p, "snr_db") for d in p["delta"]]
     return points, work, ["snr_dB", "delta", "nmse_analytic", "nmse_floor",
-                          "nmse_empirical"], lambda c: p["trials"]
+                          "nmse_empirical"]
 
 
 def _outage(p: dict):
     """Point order: config-major, delta-minor; one simulation per run of a
     configuration's points is shared by every delta, receiver and threshold
-    of the run, and a point keeps only its counts at the thresholds.  The
+    of the run, and a point holds only its counts at the thresholds.  The
     SINR statistics do not depend on the block length, so any t > tp
     serves."""
     rho = db_to_linear(p["snr_db"])
@@ -334,8 +323,7 @@ def _outage(p: dict):
     points = [(c, (tuple(config), d)) for c, config in enumerate(p["configs"])
               for d in p["delta"]]
     return points, work, ["nt", "nr", "threshold", "receiver", "delta",
-                          "outage_analytic", "outage_empirical"], (
-        lambda c: len(thresholds) * len(receivers))
+                          "outage_analytic", "outage_empirical"]
 
 
 def _rates(p: dict):
@@ -398,8 +386,7 @@ def _rates(p: dict):
 
     points = [(0, (s, d)) for s in _grid(p, "snr_db") for d in p["delta"]]
     return points, work, ["snr_dB", "receiver", "delta", "rate_analytic",
-                          "rate_empirical", "rate_ceiling", "tp_star"], (
-        lambda c: p["nt"] * p["trials"] * len(receivers))
+                          "rate_empirical", "rate_ceiling", "tp_star"]
 
 
 def _opt_tp(p: dict):
@@ -415,8 +402,7 @@ def _opt_tp(p: dict):
     receivers = _receivers(p["receiver"])
     points = [(0, (s, d, r)) for s in _grid(p, "snr_db") for d in p["delta"]
               for r in receivers]
-    return points, _each_point(work), ["snr_dB", "receiver", "delta",
-                                       "tp_star"], None
+    return points, _each_point(work), ["snr_dB", "receiver", "delta", "tp_star"]
 
 
 def _convergence(p: dict):
@@ -447,8 +433,7 @@ def _convergence(p: dict):
     points = [(c, (tuple(config), d, s)) for c, config in enumerate(p["configs"])
               for d in p["delta"] for s in snrs]
     return points, work, ["nt", "nr", "snr_dB", "receiver", "delta",
-                          "rate_det", "rate_empirical", "rel_deviation"], (
-        lambda c: p["configs"][c][0] * p["trials"] * len(receivers))
+                          "rate_det", "rate_empirical", "rel_deviation"]
 
 
 def _asymptotic_tp(p: dict):
@@ -467,39 +452,36 @@ def _asymptotic_tp(p: dict):
     points = [(c, (tuple(config), d, s, r)) for c, config in enumerate(p["configs"])
               for d in p["delta"] for s in snrs for r in receivers]
     return points, _each_point(work), ["nt", "nr", "snr_dB", "receiver",
-                                       "delta", "tp_star_asymptotic"], None
+                                       "delta", "tp_star_asymptotic"]
 
 
-def _runs(points: list, keep, tasks: int) -> list:
+def _runs(points: list, tasks: int) -> list:
     """The enumerated ``(c, point)`` pairs cut into contiguous ``(c, run)``
-    slices of one configuration each.  A run keeps at most
-    ``_SLICE_VALUES`` values by ``keep(c)``, and holds at most
-    ``ceil(len(points) / tasks)`` points, so that there are at least
-    ``tasks`` runs where there are that many points.  Without ``keep``,
-    every point is a run of its own."""
-    if keep is None:
-        return [(c, [point]) for c, point in points]
-    most = -(-len(points) // tasks)
+    slices of one configuration each: each configuration into
+    ``tasks // gcd(tasks, configurations)`` runs of near-equal length, or
+    one run per point where it has fewer points.  So the runs, as many as
+    ``lcm(tasks, configurations)``, share the pool evenly, and a
+    configuration is cut no further than that: the points of a run share
+    its draws."""
+    groups = [(c, [point for _, point in group])
+              for c, group in itertools.groupby(points, key=lambda item: item[0])]
+    cuts = tasks // math.gcd(tasks, len(groups))
     runs = []
-    for c, group in itertools.groupby(points, key=lambda item: item[0]):
-        group = [point for _, point in group]
-        step = max(1, min(most, _SLICE_VALUES // max(1, keep(c))))
-        n = -(-len(group) // step)  # runs of near-equal length, each <= step
+    for c, group in groups:
+        n = min(cuts, len(group))
         runs += [(c, group[k * len(group) // n:(k + 1) * len(group) // n])
                  for k in range(n)]
     return runs
 
 
-def _sweep(points: list, work, keep) -> list:
+def _sweep(points: list, work) -> list:
     """Rows of ``work(c, run)`` over the runs of :func:`_runs`, concatenated
-    in point order.  Runs go to a small thread pool, about one run per
-    worker where the value budget allows, so that the points of a
-    configuration share as many draws as the pool leaves them; the order of
-    the results never depends on the pool, and neither do their bytes: every
+    in point order.  Runs go to a small thread pool; the order of the
+    results never depends on the pool, and neither do their bytes: every
     point draws from its configuration's stream whatever else shares its
     run."""
     workers = max(1, min(8, os.cpu_count() or 1, len(points)))
-    runs = _runs(points, keep, workers)
+    runs = _runs(points, workers)
     if len(runs) <= 1:
         chunks = [work(c, run) for c, run in runs]
     else:
@@ -514,8 +496,8 @@ def _tables(subcommand: str, params: dict) -> dict:
     for stem, declare in _SUBCOMMANDS[subcommand]["tables"].items():
         sweep = declare(params)
         if sweep is not None:
-            points, work, columns, keep = sweep
-            tables[stem] = (columns, _sweep(points, work, keep))
+            points, work, columns = sweep
+            tables[stem] = (columns, _sweep(points, work))
     return tables
 
 

@@ -40,10 +40,12 @@ or ``t``: :func:`empirical_nmse`, :func:`empirical_rate`,
 of configs that share ``(nt, nr)``, draw each chunk once, and map it through
 every config without writing into the shared draws, so entry ``i`` of the
 list they return equals the call for config ``i`` alone on the same stream,
-bit for bit.  :func:`empirical_outage` keeps no sample: it adds each chunk's
-integer counts at every threshold, so its memory does not grow with
-``trials``.  Changing the layout or the ``(nr, nt)`` rule is a breaking
-change to this contract.
+bit for bit.  No reducer keeps a sample, so memory does not grow with
+``trials``: :func:`empirical_outage` adds each chunk's integer counts at
+every threshold, and :func:`empirical_nmse` and :func:`empirical_rate` fold
+per-trial sums in trial order (:func:`_fold`), so no bit depends on the
+chunks.  Changing the layout or the ``(nr, nt)`` rule is a breaking change
+to this contract.
 """
 
 from __future__ import annotations
@@ -256,6 +258,22 @@ def _chunks(trials: int, per_trial: int):
         yield min(step, trials - done)
 
 
+def _draws(trials: int, per_trial: int, rs: RandomStream):
+    """Yield ``(z, gam)`` for each chunk of :func:`_chunks`: the chunk's
+    draws ``z`` (m, per_trial), read from ``rs`` trial by trial, and the
+    sibling generator ``gam`` of :func:`_generators` for its gammas."""
+    g, gam = _generators(rs)
+    for m in _chunks(trials, per_trial):
+        yield _cn(g, (m, per_trial)), gam
+
+
+def _fold(total: float, per_trial: np.ndarray) -> float:
+    """``total`` plus ``per_trial``, added one by one in trial order (as
+    ``np.add.accumulate`` does) in place, so no bit depends on the chunks."""
+    per_trial[0] += total
+    return float(np.add.accumulate(per_trial, out=per_trial)[-1])
+
+
 def _estimator_scalars(cfg: SystemConfig) -> tuple[float, float, float]:
     """``a = sqrt(rho/nt)``, ``k = a / (a^2 tp + delta^2 rho + 1)`` and
     ``sqrt(tp)``, the scalars of :func:`_estimate`."""
@@ -263,11 +281,11 @@ def _estimator_scalars(cfg: SystemConfig) -> tuple[float, float, float]:
     return a, a / (a * a * cfg.tp + cfg.delta**2 * cfg.rho + 1.0), math.sqrt(cfg.tp)
 
 
-def _estimate(cfgs, z: np.ndarray):
+def _estimate(cfgs: list[SystemConfig], z: np.ndarray):
     """The channel ``H`` of each trial of a chunk's draws ``z``
-    (m, 2 nr nt + nt^2), and its LMMSE estimates ``Hhat`` under ``cfgs`` (one
-    config, or a sequence of configs that share ``(nt, nr)``), from the
-    sufficient statistic of the received pilots; exact in law.
+    (m, 2 nr nt + nt^2), and its LMMSE estimates ``Hhat`` under each of
+    ``cfgs`` (configs that share ``(nt, nr)``), from the sufficient
+    statistic of the received pilots; exact in law.
 
     With ``a = sqrt(rho/nt)`` and ``c = delta^2 rho + 1``,
     :func:`lmmse_estimate` applies ``a Yp (a^2 Sp^H Sp + c I)^{-1} Sp^H`` to
@@ -284,10 +302,9 @@ def _estimate(cfgs, z: np.ndarray):
     so no draw grows with ``tp``.  The product ``H E`` keeps the estimate
     non-Gaussian under distortion; no config changes it, so it is formed
     once.  ``z`` holds ``H``, ``E`` and ``W`` in that order; ``H`` is a view
-    of ``z``, and nothing is written into ``z``.  For a sequence, the
-    estimates come lazily, one per config.
+    of ``z``, and nothing is written into ``z``.  The estimates come lazily,
+    one per config.
     """
-    cfgs, one = _each(cfgs)
     nr, nt = cfgs[0].nr, cfgs[0].nt
     h = z[:, : nr * nt].reshape(-1, nr, nt)
     e = z[:, nr * nt : (nr + nt) * nt].reshape(-1, nt, nt)
@@ -302,7 +319,7 @@ def _estimate(cfgs, z: np.ndarray):
         out += w * (k * root_tp)
         return out
 
-    return h, _one_or_all(map(hhat, cfgs), one)
+    return h, map(hhat, cfgs)
 
 
 def _sigma_chol(cfg: SystemConfig, e: np.ndarray) -> np.ndarray:
@@ -337,19 +354,17 @@ def _outer(x: np.ndarray) -> np.ndarray:
     return x @ x.conj().swapaxes(-1, -2)
 
 
-def _gram_source(cfgs, model: bool):
+def _gram_source(cfgs: list[SystemConfig], model: bool):
     """``(per_trial, gram)``: the complex normals each trial draws, and the
     map ``gram(z, gamma_generator)`` from a chunk's draws ``z``
     (m, per_trial) to its normalized Gram matrices ``Hbar^H Hbar``
-    (m, nt, nt) under ``cfgs`` (one config, or lazily one batch per config
-    of a sequence that shares ``(nt, nr)``).  ``Hbar`` is the chain's
-    estimate over its standard deviation, or under ``model`` an i.i.d.
-    CN(0,1) matrix.  From ``nr = _WISHART_RATIO nt`` on, the Gram matrices
-    come from their Wishart law, and only there does ``gram`` draw gammas.
-    What no config changes is computed once per chunk: ``H E`` on the
-    estimate path, the Bartlett factor on the Wishart path, and the whole
-    Gram batch under ``model``."""
-    cfgs, one = _each(cfgs)
+    (m, nt, nt), lazily one batch per config of ``cfgs`` (configs that
+    share ``(nt, nr)``).  ``Hbar`` is the chain's estimate over its standard
+    deviation, or under ``model`` an i.i.d. CN(0,1) matrix.  From
+    ``nr = _WISHART_RATIO nt`` on, the Gram matrices come from their Wishart
+    law, and only there does ``gram`` draw gammas.  What no config changes
+    is computed once per chunk: ``H E`` on the estimate path, the Bartlett
+    factor on the Wishart path, and the whole Gram batch under ``model``."""
     nt, nr = cfgs[0].nt, cfgs[0].nr
     n_e = 0 if model else nt * nt
     if nr >= _WISHART_RATIO * nt:
@@ -363,14 +378,14 @@ def _gram_source(cfgs, model: bool):
             t[:, below[0], below[1]] = z[:, n_e:]
             t[:, diag, diag] = np.sqrt(gam.standard_gamma(nr - diag, size=(len(z), nt)))
             if model:
-                return _one_or_all(itertools.repeat(_outer(t), len(cfgs)), one)
+                return itertools.repeat(_outer(t), len(cfgs))
             e = z[:, :n_e].reshape(-1, nt, nt)
-            return _one_or_all((_outer(_sigma_chol(c, e) @ t) for c in cfgs), one)
+            return (_outer(_sigma_chol(c, e) @ t) for c in cfgs)
 
         return n_e + below[0].size, gram
     if model:
-        return nr * nt, lambda z, gam: _one_or_all(
-            itertools.repeat(_gram(z.reshape(-1, nr, nt)), len(cfgs)), one)
+        return nr * nt, lambda z, gam: itertools.repeat(
+            _gram(z.reshape(-1, nr, nt)), len(cfgs))
     roots = [math.sqrt(derive_params(c).sigma2_est) for c in cfgs]
 
     def normalized(hhat, root):
@@ -378,7 +393,7 @@ def _gram_source(cfgs, model: bool):
         return _gram(hhat)
 
     def gram(z, gam):
-        return _one_or_all(map(normalized, _estimate(cfgs, z)[1], roots), one)
+        return map(normalized, _estimate(cfgs, z)[1], roots)
 
     return 2 * nr * nt + n_e, gram
 
@@ -399,43 +414,32 @@ def _receiver_tuple(receivers) -> tuple[Receiver, ...]:
 def _sinr_batches(cfgs: list[SystemConfig], receivers: tuple[Receiver, ...],
                   trials: int, rs: RandomStream, model: bool):
     """Yield, chunk by chunk, one ``{receiver: SINRs (m, nt)}`` per config
-    of ``cfgs``, mapped from the Gram matrices of :func:`_gram_source`.
-    Bad configs or ``trials`` raise ``ValueError`` before the first draw;
-    a chunk's draws are freed before the next chunk is drawn."""
+    of ``cfgs``, mapped lazily, config by config, from the Gram matrices of
+    :func:`_gram_source`, so a chunk holds the SINRs of one config at a
+    time.  Bad configs or ``trials`` raise ``ValueError`` before the first
+    draw."""
     _require_zf_ok(cfgs[0].nt, cfgs[0].nr, *receivers)
     dpars = [derive_params(c) for c in cfgs]
     per_trial, gram = _gram_source(cfgs, model)
-    g, gam = _generators(rs)
-    for m in _chunks(trials, per_trial):
-        yield [{r: _gram_sinr(grams, r, dpar, cfg.delta) for r in receivers}
-               for cfg, dpar, grams in zip(cfgs, dpars,
-                                           gram(_cn(g, (m, per_trial)), gam))]
+    for z, gam in _draws(trials, per_trial, rs):
+        yield ({r: _gram_sinr(grams, r, dpar, cfg.delta) for r in receivers}
+               for cfg, dpar, grams in zip(cfgs, dpars, gram(z, gam)))
 
 
-def _sample_sets(cfgs, receivers, trials: int, rs: RandomStream, model: bool):
-    """One :class:`SinrSampleSet` per distinct receiver (see
-    :func:`_receiver_tuple`), gathered from :func:`_sinr_batches`: a dict
-    for one config, a list of dicts for a sequence of configs."""
-    cfgs, one = _each(cfgs)
+def _sample_sets(cfgs: list[SystemConfig], receivers, trials: int, rs: RandomStream,
+                 model: bool):
+    """For each of ``cfgs``, one :class:`SinrSampleSet` per distinct
+    receiver (see :func:`_receiver_tuple`), gathered from
+    :func:`_sinr_batches`."""
     receivers = _receiver_tuple(receivers)
     parts = [{r: [] for r in receivers} for _ in cfgs]
     for batch in _sinr_batches(cfgs, receivers, trials, rs, model):
         for part, sinrs in zip(parts, batch):
             for r in receivers:
                 part[r].append(sinrs[r].ravel())
-    return _one_or_all([
-        {
-            r: SinrSampleSet(
-                receiver=r,
-                samples=np.concatenate(part[r]),
-                cfg=cfg,
-                trials=trials,
-                seed=rs.seed,
-            )
-            for r in receivers
-        }
-        for cfg, part in zip(cfgs, parts)
-    ], one)
+    return [{r: SinrSampleSet(receiver=r, samples=np.concatenate(part[r]), cfg=cfg,
+                              trials=trials, seed=rs.seed) for r in receivers}
+            for cfg, part in zip(cfgs, parts)]
 
 
 def sample_sinr_multi(
@@ -458,7 +462,8 @@ def sample_sinr_multi(
     ``cfg[i]`` alone on the same stream, bit for bit, and the configs see
     common random numbers.
     """
-    return _sample_sets(cfg, receivers, trials, rs, model=False)
+    cfgs, one = _each(cfg)
+    return _one_or_all(_sample_sets(cfgs, receivers, trials, rs, model=False), one)
 
 
 def sample_sinr(
@@ -490,7 +495,8 @@ def sample_sinr_model(
     ordering match :func:`sample_sinr_multi`; when ``nr >= 2 nt`` the Gram
     matrix is the Bartlett draw ``T T^H`` of ``CW(nt, nr, I)``.
     """
-    return _sample_sets(cfg, receivers, trials, rs, model=True)
+    cfgs, one = _each(cfg)
+    return _one_or_all(_sample_sets(cfgs, receivers, trials, rs, model=True), one)
 
 
 def empirical_nmse(
@@ -499,24 +505,21 @@ def empirical_nmse(
     """Monte Carlo estimate of the per-entry channel-estimation NMSE,
     ``mean ||H - Hhat||_F^2 / (nr nt)`` over ``trials`` channel draws.
 
-    ``cfg`` is one :class:`SystemConfig`, which gives a float, or a
-    sequence of configs that share ``(nt, nr)``, which gives a list: entry
-    ``i`` equals the call for ``cfg[i]`` alone on the same stream, bit for
-    bit.
+    No error is kept: each trial's is folded in (:func:`_fold`).  ``cfg``
+    is one :class:`SystemConfig`, which gives a float, or a sequence of
+    configs that share ``(nt, nr)``, which gives a list: entry ``i`` equals
+    the call for ``cfg[i]`` alone on the same stream, bit for bit.
     """
     cfgs, one = _each(cfg)
     nr, nt = cfgs[0].nr, cfgs[0].nt
-    per_trial = 2 * nr * nt + nt * nt
-    g = rs.generator()
-    errors = [[] for _ in cfgs]  # per trial, so the sum does not depend on the chunks
-    for m in _chunks(trials, per_trial):
-        h, hhats = _estimate(cfgs, _cn(g, (m, per_trial)))
-        for part, err in zip(errors, hhats):
+    totals = [0.0] * len(cfgs)
+    for z, _ in _draws(trials, 2 * nr * nt + nt * nt, rs):
+        h, hhats = _estimate(cfgs, z)
+        for i, err in enumerate(hhats):
             err -= h  # Hhat - H, in place: the same squares as H - Hhat
-            part.append(np.sum(err.real**2 + err.imag**2, axis=(1, 2)))
-        del h, hhats  # hold the chunk's draws: free them before the next
-    return _one_or_all([float(np.sum(np.concatenate(part))) / (trials * nr * nt)
-                        for part in errors], one)
+            totals[i] = _fold(totals[i], np.sum(err.real**2 + err.imag**2, axis=(1, 2)))
+        del z, h, hhats  # free the chunk's draws before the next is drawn
+    return _one_or_all([total / (trials * nr * nt) for total in totals], one)
 
 
 def empirical_rate(
@@ -526,25 +529,28 @@ def empirical_rate(
     rs: RandomStream,
 ) -> dict[Receiver, float] | list[dict[Receiver, float]]:
     """Monte Carlo ergodic achievable rate of each receiver, in bits per
-    channel use: ``(td/t) * nt * mean(log2(1 + sinr))`` over its per-stream
-    samples.
+    channel use: ``(td/t) * mean(sum_k log2(1 + sinr_k))`` over the trials,
+    ``k`` running over the ``nt`` streams of a trial.
 
-    One :func:`sample_sinr_multi` pass serves every receiver, so their
-    rates rest on the same channel draws, and each rate equals a call for
-    that receiver alone bit for bit.  The draws do not depend on ``tp``:
-    calls that differ only in ``tp`` and share ``rs`` see common random
-    numbers.  ``cfg`` is one :class:`SystemConfig`, which gives
+    One pass over the SINRs of :func:`sample_sinr_multi` serves every
+    receiver and keeps none: each trial's sum is folded in (:func:`_fold`).
+    So the rates rest on the same channel draws, and each rate equals a
+    call for that receiver alone bit for bit.  The draws do not depend on
+    ``tp``: calls that differ only in ``tp`` and share ``rs`` see common
+    random numbers.  ``cfg`` is one :class:`SystemConfig`, which gives
     ``{receiver: rate}``, or a sequence of configs that share ``(nt, nr)``,
     which gives a list with one such dict per config, entry ``i`` equal to
     the call for ``cfg[i]`` alone on the same stream, bit for bit.
     """
     cfgs, one = _each(cfg)
-    sets = sample_sinr_multi(cfgs, receivers, trials, rs)
-    return _one_or_all([
-        {r: (c.td / c.t) * c.nt * float(np.mean(np.log2(1.0 + s.samples)))
-         for r, s in by_receiver.items()}
-        for c, by_receiver in zip(cfgs, sets)
-    ], one)
+    receivers = _receiver_tuple(receivers)
+    totals = [dict.fromkeys(receivers, 0.0) for _ in cfgs]
+    for batch in _sinr_batches(cfgs, receivers, trials, rs, model=False):
+        for total, sinrs in zip(totals, batch):
+            for r in receivers:
+                total[r] = _fold(total[r], np.sum(np.log2(1.0 + sinrs[r]), axis=1))
+    return _one_or_all([{r: (c.td / c.t) * (s / trials) for r, s in total.items()}
+                        for c, total in zip(cfgs, totals)], one)
 
 
 def empirical_outage(

@@ -38,6 +38,16 @@ def ks_statistic(samples, cdf, max_points=2000):
     return d, stride / n
 
 
+def trial_order_sum(values, nt):
+    """Sum of trial-major ``values`` (``nt`` per trial): each trial's ``nt``
+    values summed, then the per-trial sums added one at a time in trial
+    order, the order in which the simulator's reducers fold them."""
+    total = 0.0
+    for per_trial in np.sum(np.reshape(values, (-1, nt)), axis=1).tolist():
+        total += per_trial
+    return total
+
+
 def run_capped(code, cap_gib):
     """Run ``code`` in a fresh interpreter whose address space is capped at
     ``cap_gib`` GiB, with one BLAS thread and this checkout's package first

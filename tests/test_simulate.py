@@ -33,7 +33,7 @@ from mimolink.simulate import (
     simulate_training,
 )
 
-from _util import ks_statistic, run_capped
+from _util import ks_statistic, run_capped, trial_order_sum
 
 
 def _ks_bound(trials):
@@ -168,7 +168,7 @@ class TestSufficientStatistic:
         want = lmmse_estimate(yp, sp, cfg)
         root = math.sqrt(tp)
         fill = _fill(h, d @ sp.conj().T / root, vp @ sp.conj().T / root)
-        h_out, got = simulate._estimate(cfg, fill)
+        h_out, (got,) = simulate._estimate([cfg], fill)
         assert np.shares_memory(h_out, fill) and np.array_equal(h_out, h)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -219,8 +219,9 @@ class TestSufficientStatistic:
         e = _cn(np.random.default_rng(3), (1, nt, nt))
         top = np.eye(nr, nt)[None].astype(complex)
         zero = np.zeros((1, nr, nt), complex)
-        m_mat = simulate._estimate(cfg, _fill(top, e, zero))[1][0]
-        c_mat = simulate._estimate(cfg, _fill(zero, e, top))[1][0]
+        [m_mat] = simulate._estimate([cfg], _fill(top, e, zero))[1]
+        [c_mat] = simulate._estimate([cfg], _fill(zero, e, top))[1]
+        m_mat, c_mat = m_mat[0], c_mat[0]
         sigma = (m_mat.conj().T @ m_mat + c_mat.conj().T @ c_mat) / derive_params(
             cfg).sigma2_est
 
@@ -229,10 +230,10 @@ class TestSufficientStatistic:
         # generator.
         n = 20000
         g = np.random.default_rng(4)
-        per_trial, gram = simulate._gram_source(cfg, model=False)
+        per_trial, gram = simulate._gram_source([cfg], model=False)
         assert per_trial == nt * nt + nt * (nt - 1) // 2
         fill = _fill(np.repeat(e, n, axis=0), _cn(g, (n, per_trial - nt * nt)))
-        grams = gram(fill, g)
+        [grams] = gram(fill, g)
         # Var(G_ij) = nr Sigma_ii Sigma_jj for CW(nt, nr, Sigma).
         scale = np.sqrt(np.diag(sigma).real)
         std_err = np.sqrt(nr / n) * np.outer(scale, scale)
@@ -332,28 +333,29 @@ class TestReproducibility:
         cfg = SystemConfig(nt=4, nr=nr, t=100, tp=4, rho=10.0, delta=0.1)
         sampler = sample_sinr_multi if entry is empirical_rate else entry
         long = sampler(cfg, tuple(Receiver), 10_000, RandomStream(9))
-        scale = (cfg.td / cfg.t) * cfg.nt
         for n in (1, 100, 4095, 4097, 9000):
             short = entry(cfg, tuple(Receiver), n, RandomStream(9))
             for r in Receiver:
                 head = long[r].samples[: n * cfg.nt]
                 if entry is empirical_rate:
-                    assert short[r] == scale * float(np.mean(np.log2(1.0 + head))), (n, r)
+                    total = trial_order_sum(np.log2(1.0 + head), cfg.nt)
+                    assert short[r] == (cfg.td / cfg.t) * (total / n), (n, r)
                 else:
                     assert np.array_equal(short[r].samples, head), (n, r)
 
     @pytest.mark.parametrize("nr", [4, 16], ids=["estimate", "wishart"])
     def test_chunk_budget_moves_no_bit(self, monkeypatch, nr):
         # Chunks bound memory only: with a budget that splits every call
-        # into chunks of one or two trials, every sample and the NMSE are
-        # the same bits.
+        # into chunks of a few trials, every sample, the NMSE and the rates
+        # are the same bits.
         cfg = SystemConfig(nt=4, nr=nr, t=100, tp=4, rho=10.0, delta=0.1)
 
         def run():
             sets = [sample_sinr_multi(cfg, tuple(Receiver), 999, RandomStream(3)),
                     sample_sinr_model(cfg, tuple(Receiver), 999, RandomStream(3))]
             return ([s[r].samples.tobytes() for s in sets for r in Receiver],
-                    empirical_nmse(cfg, 999, RandomStream(3)))
+                    empirical_nmse(cfg, 999, RandomStream(3)),
+                    empirical_rate(cfg, tuple(Receiver), 999, RandomStream(3)))
 
         want = run()
         monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 100)
@@ -401,8 +403,8 @@ class TestReproducibility:
         long = sample_sinr_multi(cfg, tuple(Receiver), 8192, RandomStream(9))
         for r in Receiver:
             head = long[r].samples[: 4096 * cfg.nt]
-            want = (cfg.td / cfg.t) * cfg.nt * float(np.mean(np.log2(1.0 + head)))
-            assert short[r] == want
+            total = trial_order_sum(np.log2(1.0 + head), cfg.nt)
+            assert short[r] == (cfg.td / cfg.t) * (total / 4096)
 
     @pytest.mark.parametrize("sampler, digest", [
         (sample_sinr_model,
@@ -625,7 +627,7 @@ def validate_sinr_end_to_end(
     eye = np.eye(cfg.nr)
     worst = 0.0
     per_trial = 2 * cfg.nr * cfg.nt + cfg.nt * cfg.nt
-    hhat = simulate._estimate(cfg, _cn(rs.generator(), (trials, per_trial)))[1]
+    [hhat] = simulate._estimate([cfg], _cn(rs.generator(), (trials, per_trial)))[1]
     gram = (hhat.conj().swapaxes(-1, -2) @ hhat) / dpar.sigma2_est
     reference = _gram_sinr(gram, receiver, dpar, cfg.delta)
     outer = hhat @ hhat.conj().swapaxes(-1, -2)
@@ -773,6 +775,69 @@ class TestStreamingOutage:
         peak(64)  # first-call set-up is no part of a call's working set
         small, large = peak(2048), peak(8 * 2048)
         assert large <= small + (64 << 10), (small, large)
+
+
+class TestFoldedReducers:
+    """``empirical_rate`` and ``empirical_nmse`` fold each chunk's per-trial
+    sums into a running total and keep no sample."""
+
+    @pytest.mark.parametrize("entry", [empirical_rate, empirical_nmse])
+    def test_memory_does_not_grow_with_trials(self, entry):
+        # Kept samples would add 8 bytes per trial (NMSE) or per stream,
+        # trial and receiver (rate): 0.1 MB or 1.3 MB more at 8 x 2048
+        # trials here than at 2048.
+        cfg = SystemConfig(nt=4, nr=4, t=12, tp=4, rho=db_to_linear(10.0), delta=0.1)
+        args = () if entry is empirical_nmse else (tuple(Receiver),)
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                entry(cfg, *args, trials, RandomStream(4))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(64)  # first-call set-up is no part of a call's working set
+        small, large = peak(2048), peak(8 * 2048)
+        assert large <= small + (64 << 10), (small, large)
+
+    def test_fold_is_sequential_and_accurate(self):
+        # 2^20 per-trial values folded in chunks of any size give the bits
+        # of one fold, within 1e-12 relative of the exactly rounded sum.
+        values = np.random.default_rng(12).exponential(4.0, size=1 << 20)
+        exact = math.fsum(values.tolist())
+        folds = []
+        for step in (1 << 20, 4096, 1000, 3):
+            total = 0.0
+            for start in range(0, values.size, step):
+                total = simulate._fold(total, values[start:start + step].copy())
+            folds.append(total)
+        assert folds == [folds[0]] * len(folds)
+        assert abs(folds[0] - exact) <= 1e-12 * exact, (folds[0], exact)
+
+    @pytest.mark.parametrize("entry", [empirical_rate, empirical_nmse])
+    def test_bad_input_raises_before_drawing(self, monkeypatch, entry):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("drew trials for a rejected call")
+
+        monkeypatch.setattr(simulate, "_cn", no_draws)
+        cfg = SystemConfig(nt=2, nr=2, t=20, tp=2, rho=1.0)
+        args = () if entry is empirical_nmse else ((Receiver.MRC,),)
+        for trials in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="integer trials >= 1"):
+                entry(cfg, *args, trials, RandomStream(1))
+        with pytest.raises(ValueError, match="share"):
+            entry([cfg, SystemConfig(nt=2, nr=3, t=20, tp=2, rho=1.0)], *args, 10,
+                  RandomStream(1))
+        with pytest.raises(ValueError, match="at least one config"):
+            entry([], *args, 10, RandomStream(1))
+        if entry is empirical_rate:
+            for bad in (Receiver.MMSE, (), ("lmmse",)):
+                with pytest.raises(ValueError):
+                    entry(cfg, bad, 10, RandomStream(1))
+            with pytest.raises(ValueError, match="ZF needs"):
+                entry(SystemConfig(nt=2, nr=1, t=20, tp=2, rho=1.0), (Receiver.ZF,),
+                      10, RandomStream(1))
 
 
 class TestDistribution:
